@@ -129,13 +129,39 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Total duration of all spans whose leaf name is `name`, in microseconds.
+    /// Busy time of the spans whose leaf name is `name`: the sum of their
+    /// durations, in microseconds. Spans that overlap in time (the same phase
+    /// on several threads, or nested under itself) each count in full, so
+    /// this can exceed the wall time of the run that contains them.
     pub fn span_total_us(&self, name: &str) -> u64 {
         self.spans
             .iter()
             .filter(|s| s.name == name)
             .map(|s| s.duration_us)
             .sum()
+    }
+
+    /// Wall time of the spans whose leaf name is `name`: the length of the
+    /// union of their `[start_us, start_us + duration_us)` intervals, in
+    /// microseconds. Time covered by several overlapping spans counts once.
+    pub fn span_wall_us(&self, name: &str) -> u64 {
+        let mut intervals: Vec<(u64, u64)> = self
+            .spans
+            .iter()
+            .filter(|s| s.name == name)
+            .map(|s| (s.start_us, s.start_us + s.duration_us))
+            .collect();
+        intervals.sort_unstable();
+        let mut wall = 0;
+        let mut covered_to = 0;
+        for (start, end) in intervals {
+            let start = start.max(covered_to);
+            if end > start {
+                wall += end - start;
+                covered_to = end;
+            }
+        }
+        wall
     }
 
     /// Value of the counter `name`, or 0 if it was never incremented.
@@ -654,6 +680,40 @@ mod tests {
         // Spans are recorded at close time: innermost first.
         assert_eq!(paths, vec!["flow/route", "flow/rcm", "flow"]);
         assert!(report.span_total_us("flow") >= report.span_total_us("route"));
+    }
+
+    #[test]
+    fn wall_time_counts_overlapping_and_nested_spans_once() {
+        let span = |name: &str, start_us, duration_us| SpanRecord {
+            path: name.to_string(),
+            name: name.to_string(),
+            start_us,
+            duration_us,
+            tid: 0,
+        };
+        let report = RunReport {
+            name: "wall".into(),
+            total_us: 100,
+            spans: vec![
+                // Two threads overlapping on [20, 30), one nested span inside
+                // the first, and a disjoint span after a gap.
+                span("place", 10, 20),
+                span("place", 20, 15),
+                span("place", 12, 5),
+                span("place", 50, 10),
+                span("place", 60, 0),
+                span("route", 0, 100),
+            ],
+            counters: vec![],
+            gauges: vec![],
+            histograms: vec![],
+            reconfig: None,
+        };
+        assert_eq!(report.span_total_us("place"), 50);
+        assert_eq!(report.span_wall_us("place"), 25 + 10);
+        assert_eq!(report.span_wall_us("route"), 100);
+        assert_eq!(report.span_wall_us("absent"), 0);
+        assert!(report.span_wall_us("place") <= report.span_wall_us("route"));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use mcfpga_arch::Coord;
 use mcfpga_obs::Recorder;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::problem::{BlockKind, PlacementProblem};
@@ -63,17 +63,17 @@ impl Placement {
     }
 }
 
-fn net_hpwl(net: &[usize], position: &[Coord]) -> u64 {
-    // An empty net has no bounding box; without this guard the fold below
-    // would leave min = u16::MAX, max = 0 and underflow in debug builds.
-    if net.is_empty() {
+/// Half-perimeter of the bounding box of `pins`; 0 for an empty net.
+#[inline]
+fn bbox_hpwl(mut pins: impl Iterator<Item = usize>, position: &[Coord]) -> u64 {
+    // An empty net has no bounding box: seed the box from the first pin
+    // rather than from (u16::MAX, 0), which would underflow below.
+    let Some(first) = pins.next() else {
         return 0;
-    }
-    let mut min_x = u16::MAX;
-    let mut max_x = 0u16;
-    let mut min_y = u16::MAX;
-    let mut max_y = 0u16;
-    for &b in net {
+    };
+    let p = position[first];
+    let (mut min_x, mut max_x, mut min_y, mut max_y) = (p.x, p.x, p.y, p.y);
+    for b in pins {
         let p = position[b];
         min_x = min_x.min(p.x);
         max_x = max_x.max(p.x);
@@ -83,9 +83,65 @@ fn net_hpwl(net: &[usize], position: &[Coord]) -> u64 {
     (max_x - min_x) as u64 + (max_y - min_y) as u64
 }
 
+fn net_hpwl(net: &[usize], position: &[Coord]) -> u64 {
+    bbox_hpwl(net.iter().copied(), position)
+}
+
 fn total_cost(problem: &PlacementProblem, position: &[Coord]) -> u64 {
     problem.nets.iter().map(|n| net_hpwl(n, position)).sum()
 }
+
+/// Compressed-sparse-row adjacency: row `r` is `items[start[r]..start[r + 1]]`.
+struct Csr {
+    start: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Csr {
+    fn from_rows<'a>(rows: impl Iterator<Item = &'a [usize]>) -> Csr {
+        let mut start = vec![0u32];
+        let mut items = Vec::new();
+        for row in rows {
+            items.extend(row.iter().map(|&i| i as u32));
+            start.push(items.len() as u32);
+        }
+        Csr { start, items }
+    }
+
+    /// The transpose: row `i` lists every row of `self` that contains `i`,
+    /// in ascending order.
+    fn transpose(&self, n_rows: usize) -> Csr {
+        let mut start = vec![0u32; n_rows + 1];
+        for &i in &self.items {
+            start[i as usize + 1] += 1;
+        }
+        for r in 0..n_rows {
+            start[r + 1] += start[r];
+        }
+        let mut fill = start.clone();
+        let mut items = vec![0u32; self.items.len()];
+        for r in 0..self.start.len() - 1 {
+            for &i in self.row(r) {
+                items[fill[i as usize] as usize] = r as u32;
+                fill[i as usize] += 1;
+            }
+        }
+        Csr { start, items }
+    }
+
+    #[inline]
+    fn row(&self, r: usize) -> &[u32] {
+        &self.items[self.start[r] as usize..self.start[r + 1] as usize]
+    }
+
+    #[inline]
+    fn hpwl(&self, net: usize, position: &[Coord]) -> u32 {
+        bbox_hpwl(self.row(net).iter().map(|&b| b as usize), position) as u32
+    }
+}
+
+/// No block on this site.
+const EMPTY: u32 = u32::MAX;
 
 /// Place a problem with simulated annealing. Deterministic in the seed.
 pub fn place(problem: &PlacementProblem, opts: &AnnealOptions) -> Placement {
@@ -146,29 +202,30 @@ pub fn place_with(problem: &PlacementProblem, opts: &AnnealOptions, rec: &Record
         }
     }
 
-    // Per-site occupancy for swap moves.
-    use std::collections::HashMap;
-    let mut occupant: HashMap<Coord, usize> =
-        position.iter().enumerate().map(|(b, &p)| (p, b)).collect();
-
-    // Nets touching each block, for incremental cost.
-    let mut nets_of: Vec<Vec<usize>> = vec![Vec::new(); problem.n_blocks()];
-    for (ni, net) in problem.nets.iter().enumerate() {
-        for &b in net {
-            nets_of[b].push(ni);
-        }
-    }
-
     let mut cost = total_cost(problem, &position);
     if problem.nets.is_empty() || problem.n_blocks() < 2 {
         return Placement { position, cost };
     }
 
-    // Scratch for the move loop: the affected-net set is rebuilt every move,
-    // so deduplicate with a generation stamp per net instead of allocating,
-    // sorting and deduping a fresh Vec each time. Summation order over the
-    // set does not matter, so dropping the sort leaves results identical.
-    let mut affected: Vec<usize> = Vec::with_capacity(16);
+    // Per-site occupancy for swap moves, dense over the full grid.
+    let dim = problem.grid.full;
+    let mut occupant = vec![EMPTY; dim.width as usize * dim.height as usize];
+    for (b, &p) in position.iter().enumerate() {
+        occupant[dim.index(p)] = b as u32;
+    }
+
+    // Pins of each net and nets touching each block, for incremental cost.
+    let pins = Csr::from_rows(problem.nets.iter().map(Vec::as_slice));
+    let nets_of = pins.transpose(problem.n_blocks());
+    // Current HPWL of every net; a move's "before" cost is read from here.
+    let mut net_cost: Vec<u32> = (0..problem.nets.len())
+        .map(|n| pins.hpwl(n, &position))
+        .collect();
+
+    // Scratch for the move loop: the affected nets with their cost after the
+    // move. The set is rebuilt every move, deduplicated with a generation
+    // stamp per net; summation order over it does not matter.
+    let mut affected: Vec<(u32, u32)> = Vec::with_capacity(16);
     let mut net_stamp: Vec<u64> = vec![0; problem.nets.len()];
     let mut move_stamp: u64 = 0;
 
@@ -176,66 +233,78 @@ pub fn place_with(problem: &PlacementProblem, opts: &AnnealOptions, rec: &Record
     let mut t = (cost as f64 / problem.nets.len() as f64).max(1.0) * 2.0;
     let t_min = opts.t_min_factor;
     let moves_per_t = opts.moves_per_block * problem.n_blocks();
+    let n_blocks = problem.n_blocks() as u64;
 
     while t > t_min {
         let mut accepted = 0usize;
+        // Acceptance probability of small uphill deltas at this temperature,
+        // filled on first use: the same expression, evaluated once.
+        let mut uphill_p: [Option<f64>; 64] = [None; 64];
         for _ in 0..moves_per_t {
-            // Pick a block and a target site of the same kind.
-            let b = rng.gen_range(0..problem.n_blocks());
-            let target = match problem.kinds[b] {
-                BlockKind::Logic => logic_sites[rng.gen_range(0..logic_sites.len())],
-                BlockKind::Io => io_sites[rng.gen_range(0..io_sites.len())],
+            // Pick a block and a target site of the same kind. Both draws are
+            // `next_u64() % n`, the value `gen_range(0..n)` returns.
+            let b = (rng.next_u64() % n_blocks) as usize;
+            let sites = match problem.kinds[b] {
+                BlockKind::Logic => &logic_sites,
+                BlockKind::Io => &io_sites,
             };
-            if target == position[b] {
+            let target = sites[(rng.next_u64() % sites.len() as u64) as usize];
+            let old = position[b];
+            if target == old {
                 continue;
             }
-            let other = occupant.get(&target).copied();
-            // Cost of affected nets before the move.
+            let target_site = dim.index(target);
+            let other = occupant[target_site];
+            // Collect the affected nets and their cached cost before the move.
             move_stamp += 1;
             affected.clear();
-            for &n in &nets_of[b] {
-                if net_stamp[n] != move_stamp {
-                    net_stamp[n] = move_stamp;
-                    affected.push(n);
-                }
-            }
-            if let Some(o) = other {
-                for &n in &nets_of[o] {
+            let mut before = 0u64;
+            let mut touch = |block: u32| {
+                for &n in nets_of.row(block as usize) {
+                    let n = n as usize;
                     if net_stamp[n] != move_stamp {
                         net_stamp[n] = move_stamp;
-                        affected.push(n);
+                        before += net_cost[n] as u64;
+                        affected.push((n as u32, 0));
                     }
                 }
+            };
+            touch(b as u32);
+            if other != EMPTY {
+                touch(other);
             }
-            let before: u64 = affected
-                .iter()
-                .map(|&n| net_hpwl(&problem.nets[n], &position))
-                .sum();
-            // Apply.
-            let old = position[b];
+            // Apply, and price the affected nets after the move.
             position[b] = target;
-            if let Some(o) = other {
-                position[o] = old;
+            if other != EMPTY {
+                position[other as usize] = old;
             }
-            let after: u64 = affected
-                .iter()
-                .map(|&n| net_hpwl(&problem.nets[n], &position))
-                .sum();
+            let mut after = 0u64;
+            for (n, c) in affected.iter_mut() {
+                *c = pins.hpwl(*n as usize, &position);
+                after += *c as u64;
+            }
             let delta = after as i64 - before as i64;
-            let accept = delta <= 0 || rng.gen_bool((-(delta as f64) / t).exp().min(1.0));
+            let accept = delta <= 0 || {
+                let uphill = |delta: i64| (-(delta as f64) / t).exp().min(1.0);
+                let p = match uphill_p.get_mut(delta as usize) {
+                    Some(slot) => *slot.get_or_insert_with(|| uphill(delta)),
+                    None => uphill(delta),
+                };
+                rng.gen_bool(p)
+            };
             if accept {
-                occupant.remove(&old);
-                if let Some(o) = other {
-                    occupant.insert(old, o);
+                for &(n, c) in &affected {
+                    net_cost[n as usize] = c;
                 }
-                occupant.insert(target, b);
+                occupant[dim.index(old)] = other;
+                occupant[target_site] = b as u32;
                 cost = (cost as i64 + delta) as u64;
                 accepted += 1;
             } else {
                 // Revert.
                 position[b] = old;
-                if let Some(o) = other {
-                    position[o] = target;
+                if other != EMPTY {
+                    position[other as usize] = target;
                 }
             }
         }
@@ -268,6 +337,11 @@ pub fn place_with(problem: &PlacementProblem, opts: &AnnealOptions, rec: &Record
         t *= alpha;
     }
     debug_assert_eq!(cost, total_cost(problem, &position));
+    debug_assert!(
+        (0..problem.nets.len())
+            .all(|n| net_cost[n] as u64 == net_hpwl(&problem.nets[n], &position)),
+        "cached net cost diverged from recomputation"
+    );
     Placement { position, cost }
 }
 

@@ -471,7 +471,7 @@ impl Device {
             // their words no longer align position-for-position with the
             // mapped LUTs — activity accounting pauses while they run (see
             // [`Device::set_kernel_options`]).
-            let cur = &self.batch.scratch.lut_words;
+            let cur = self.batch.scratch.lut_words();
             for (p, &w) in self.batch.prev_lut_words.iter_mut().zip(cur) {
                 self.toggles += (*p ^ w).count_ones() as u64;
                 *p = w;

@@ -154,18 +154,46 @@ impl KernelInstr {
 /// instruction `l`'s result occupies `lut_words[l*W .. (l+1)*W]`, so at
 /// `W = 1` the layout is exactly one word per LUT, which is what the toggle
 /// census and probe consumers index.
+///
+/// The chunks start on a 64-byte boundary whatever address the allocator
+/// returned, so a `W = 8` chunk is exactly one cache line and the kernel's
+/// speed does not depend on the heap state left by earlier work.
 #[derive(Debug, Default, Clone)]
 pub struct KernelScratch {
-    /// Current-cycle result chunks, instruction-major (exposed
-    /// crate-internally for toggle accounting and probe sampling).
-    pub(crate) lut_words: Vec<u64>,
+    /// Backing store of the result chunks: `lut_len` words from `lut_off`,
+    /// over-allocated by up to a cache line to leave room for the alignment.
+    lut_buf: Vec<u64>,
+    lut_off: usize,
+    lut_len: usize,
     /// Next register values, staged so sources still read the old state.
     next_regs: Vec<u64>,
 }
 
+/// `u64` words per 64-byte cache line.
+const LINE_WORDS: usize = 8;
+
 impl KernelScratch {
     pub fn new() -> KernelScratch {
         KernelScratch::default()
+    }
+
+    /// Current-cycle result chunks, instruction-major (exposed
+    /// crate-internally for toggle accounting and probe sampling).
+    pub(crate) fn lut_words(&self) -> &[u64] {
+        &self.lut_buf[self.lut_off..self.lut_off + self.lut_len]
+    }
+
+    /// Size the result chunks to `len` words, cache-line aligned, and lend
+    /// them out with the register staging area. Chunk contents are
+    /// unspecified until the step writes them.
+    fn parts(&mut self, len: usize) -> (&mut [u64], &mut Vec<u64>) {
+        self.lut_buf.resize(len + LINE_WORDS - 1, 0);
+        self.lut_off = self.lut_buf.as_ptr().align_offset(64).min(LINE_WORDS - 1);
+        self.lut_len = len;
+        (
+            &mut self.lut_buf[self.lut_off..self.lut_off + len],
+            &mut self.next_regs,
+        )
     }
 }
 
@@ -294,26 +322,23 @@ impl CompiledKernel {
     ) {
         debug_assert_eq!(inputs.len(), self.n_inputs * W, "input word count");
         debug_assert_eq!(regs.len(), self.n_regs * W, "register word count");
-        scratch.lut_words.resize(self.instrs.len() * W, 0);
+        let (lut_words, next_regs) = scratch.parts(self.instrs.len() * W);
         let mut mux = [[0u64; W]; 32];
         for i in 0..self.instrs.len() {
-            let c =
-                eval_instr_wide::<W>(&self.instrs[i], inputs, regs, &scratch.lut_words, &mut mux);
-            scratch.lut_words[i * W..(i + 1) * W].copy_from_slice(&c);
+            let c = eval_instr_wide::<W>(&self.instrs[i], inputs, regs, lut_words, &mut mux);
+            lut_words[i * W..(i + 1) * W].copy_from_slice(&c);
         }
         out.clear();
         for &o in &self.outputs {
-            out.extend_from_slice(&load::<W>(o, inputs, regs, &scratch.lut_words));
+            out.extend_from_slice(&load::<W>(o, inputs, regs, lut_words));
         }
         // Stage next-state chunks first: a DFF source may read another
         // register's *old* value.
-        scratch.next_regs.clear();
+        next_regs.clear();
         for &d in &self.dffs {
-            scratch
-                .next_regs
-                .extend_from_slice(&load::<W>(d, inputs, regs, &scratch.lut_words));
+            next_regs.extend_from_slice(&load::<W>(d, inputs, regs, lut_words));
         }
-        regs.copy_from_slice(&scratch.next_regs);
+        regs.copy_from_slice(next_regs);
     }
 
     /// Per-instruction mask of the registers' transitive fanin cone — the
@@ -353,23 +378,20 @@ impl CompiledKernel {
         scratch: &mut KernelScratch,
     ) {
         debug_assert_eq!(cone.len(), self.instrs.len());
-        scratch.lut_words.resize(self.instrs.len() * W, 0);
+        let (lut_words, next_regs) = scratch.parts(self.instrs.len() * W);
         let mut mux = [[0u64; W]; 32];
         for (i, &live) in cone.iter().enumerate() {
             if !live {
                 continue;
             }
-            let c =
-                eval_instr_wide::<W>(&self.instrs[i], inputs, regs, &scratch.lut_words, &mut mux);
-            scratch.lut_words[i * W..(i + 1) * W].copy_from_slice(&c);
+            let c = eval_instr_wide::<W>(&self.instrs[i], inputs, regs, lut_words, &mut mux);
+            lut_words[i * W..(i + 1) * W].copy_from_slice(&c);
         }
-        scratch.next_regs.clear();
+        next_regs.clear();
         for &d in &self.dffs {
-            scratch
-                .next_regs
-                .extend_from_slice(&load::<W>(d, inputs, regs, &scratch.lut_words));
+            next_regs.extend_from_slice(&load::<W>(d, inputs, regs, lut_words));
         }
-        regs.copy_from_slice(&scratch.next_regs);
+        regs.copy_from_slice(next_regs);
     }
 }
 
