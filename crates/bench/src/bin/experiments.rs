@@ -1001,7 +1001,7 @@ fn sim() {
     let narrow: Vec<Vec<u64>> = (0..n_ctx)
         .map(|c| (0..n_total * arity[c]).map(|_| mrng.next_u64()).collect())
         .collect();
-    dev.set_kernel_options(KernelOptions::new());
+    dev.set_kernel_options(KernelOptions::new().with_optimize(false));
     let refs: Vec<Vec<u64>> = (0..n_ctx)
         .map(|c| dev.run_throughput(c, &narrow[c], 1, 1))
         .collect();

@@ -459,7 +459,8 @@ mod tests {
         use mcfpga_sim::KernelOptions;
         let arch = mcfpga_arch::ArchSpec::paper_default();
         let a = library::adder(2);
-        let plain = CompileOptions::default();
+        let plain = CompileOptions::default()
+            .with_kernel_options(KernelOptions::new().with_optimize(false));
         let optimized =
             CompileOptions::default().with_kernel_options(KernelOptions::new().with_optimize(true));
         let fp_plain = DesignFingerprint::new(&arch, std::slice::from_ref(&a), &plain);
@@ -473,7 +474,7 @@ mod tests {
             "kernel knobs are environment"
         );
         // The parallel toggle, by contrast, stays excluded: identical slot.
-        let par = CompileOptions::default().with_parallel(true);
+        let par = plain.with_parallel(false);
         let fp_par = DesignFingerprint::new(&arch, std::slice::from_ref(&a), &par);
         assert_eq!(fp_plain.key(), fp_par.key());
     }

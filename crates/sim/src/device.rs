@@ -1,6 +1,6 @@
 //! The compiled multi-context device.
 
-use mcfpga_arch::{ArchSpec, ContextId, LutMode};
+use mcfpga_arch::{ArchError, ArchSpec, ContextId, LutMode};
 use mcfpga_config::{Bitstream, ColumnSetStats};
 use mcfpga_lut::{AdaptiveLogicBlock, LocalSizeController, SizeControl, TruthTable};
 use mcfpga_map::{
@@ -33,6 +33,13 @@ pub enum CompileError {
     },
     /// Workloads must contain at least one context.
     EmptyWorkload,
+    /// The architecture failed [`ArchSpec::validate`].
+    InvalidArch(ArchError),
+    /// The workload has more circuits than the device has contexts.
+    TooManyCircuits {
+        circuits: usize,
+        contexts: usize,
+    },
     /// A cancellation hook (see [`crate::MultiDevice::compile_delta`])
     /// reported the budget exhausted between per-context compile phases;
     /// the partial result was discarded.
@@ -54,6 +61,11 @@ impl std::fmt::Display for CompileError {
                 "logic block {lb} needs {needed} planes but the pool offers {available}"
             ),
             CompileError::EmptyWorkload => write!(f, "workload has no contexts"),
+            CompileError::InvalidArch(e) => write!(f, "invalid architecture: {e}"),
+            CompileError::TooManyCircuits { circuits, contexts } => write!(
+                f,
+                "workload has {circuits} circuits but the device has {contexts} contexts"
+            ),
             CompileError::DeadlineExceeded => {
                 write!(f, "compile cancelled: deadline exceeded between contexts")
             }
@@ -62,6 +74,12 @@ impl std::fmt::Display for CompileError {
 }
 
 impl std::error::Error for CompileError {}
+
+impl From<ArchError> for CompileError {
+    fn from(e: ArchError) -> Self {
+        CompileError::InvalidArch(e)
+    }
+}
 
 impl From<MapError> for CompileError {
     fn from(e: MapError) -> Self {
@@ -79,6 +97,19 @@ impl From<RouteError> for CompileError {
     fn from(e: RouteError) -> Self {
         CompileError::Route(e)
     }
+}
+
+/// Reject an invalid architecture, or a workload of more circuits than it
+/// has contexts, before any compile work starts.
+pub(crate) fn check_workload_fits(arch: &ArchSpec, circuits: usize) -> Result<(), CompileError> {
+    arch.validate()?;
+    if circuits > arch.n_contexts {
+        return Err(CompileError::TooManyCircuits {
+            circuits,
+            contexts: arch.n_contexts,
+        });
+    }
+    Ok(())
 }
 
 /// Summary statistics of a compiled device, consumed by the experiments.
@@ -193,13 +224,9 @@ impl Device {
         if workload.is_empty() {
             return Err(CompileError::EmptyWorkload);
         }
-        arch.validate().expect("valid architecture");
+        check_workload_fits(arch, workload.len())?;
         let ctx = arch.context_id();
         let n_contexts = arch.n_contexts;
-        assert!(
-            workload.len() <= n_contexts,
-            "workload has more contexts than the device"
-        );
         // Pad the workload by repeating the last context so every device
         // context is programmed.
         let mut contexts: Vec<Netlist> = workload.to_vec();
@@ -300,7 +327,8 @@ impl Device {
             cycles: 0,
             kernels: vec![None; n_contexts],
             config_epoch: 0,
-            kernel_options: KernelOptions::default(),
+            // Batched steps count per-LUT toggles: keep LUT positions.
+            kernel_options: KernelOptions::default().with_optimize(false),
             batch: BatchLanes::default(),
             scratch_lut_vals: Vec::new(),
             scratch_in_bits: Vec::new(),

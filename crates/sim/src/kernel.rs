@@ -21,16 +21,30 @@
 //! [`CompiledKernel::step_wide`]), so chunk layouts, probe sampling, toggle
 //! census, and lane-0 write-back are preserved bit-for-bit.
 //!
-//! Instructions default to a constant-seeded mux-tree reduction over the
-//! packed table (`2^k - 1` chunk-ops per k-input LUT). The optional kernel
-//! optimizer ([`crate::optimize`], enabled via [`crate::KernelOptions`])
+//! Every signal a step reads sits in one *signal file* of `W`-word chunks,
+//! held by the [`KernelScratch`] and aligned to a 64-byte cache line:
+//!
+//! ```text
+//! [ LUT results (n_instrs) | inputs (n_inputs) | registers (n_regs) | zero | all-ones ]
+//! ```
+//!
+//! Building or optimizing a kernel resolves every operand, output and DFF
+//! source to a `u32` slot in that file, so a step copies the inputs and
+//! registers in and then reads every operand with one unconditional
+//! `W`-word copy — no branch on the operand's kind. The LUT results stay
+//! the aligned prefix of the file, which is what probes, the activity
+//! census and toggle counting read.
+//!
+//! Lowering emits a constant-seeded mux-tree reduction over the packed
+//! table (`2^k - 1` chunk-ops per k-input LUT). The kernel optimizer
+//! ([`crate::optimize`], on by default via [`crate::KernelOptions`])
 //! rewrites instructions into specialized opcodes (`Op`) — direct
 //! AND/OR/XOR/NOT/BUF/MUX forms costing 1–4 chunk-ops — after constant
 //! folding, dead-code and duplicate elimination. Optimization never changes
 //! any lane of any output or register; it only changes the instruction
 //! stream, which is why observability consumers that address LUT positions
-//! (probes, activity census, fault campaigns) always run on the unoptimized
-//! stream.
+//! (probes, activity census, fault campaigns, `Device` toggle counting)
+//! always run on the unoptimized stream.
 //!
 //! Lane semantics: lane `l` of every input, register, and output chunk is
 //! one complete, independent stimulus stream (chunk word `l / 64`, bit
@@ -148,29 +162,32 @@ impl KernelInstr {
     }
 }
 
-/// Reusable evaluation scratch: one chunk per instruction plus the
-/// next-register staging area. Creating one is cheap; reusing one across
-/// cycles makes stepping allocation-free. The chunk layout is flat:
-/// instruction `l`'s result occupies `lut_words[l*W .. (l+1)*W]`, so at
-/// `W = 1` the layout is exactly one word per LUT, which is what the toggle
-/// census and probe consumers index.
+/// `u64` words per 64-byte cache line.
+const LINE_WORDS: usize = 8;
+
+/// Reusable evaluation scratch: the *signal file* every operand load reads.
+/// Creating one is cheap; reusing one across cycles makes stepping
+/// allocation-free.
 ///
-/// The chunks start on a 64-byte boundary whatever address the allocator
+/// The file holds one `W`-word chunk per slot of the kernel it last
+/// stepped, laid out `[LUT results | inputs | registers | zero | all-ones]`
+/// (see [`CompiledKernel`]). Instruction `l`'s result occupies
+/// `lut_words[l*W .. (l+1)*W]`, so at `W = 1` the LUT prefix is exactly one
+/// word per LUT, which is what the toggle census and probe consumers index.
+///
+/// The file starts on a 64-byte boundary whatever address the allocator
 /// returned, so a `W = 8` chunk is exactly one cache line and the kernel's
 /// speed does not depend on the heap state left by earlier work.
 #[derive(Debug, Default, Clone)]
 pub struct KernelScratch {
-    /// Backing store of the result chunks: `lut_len` words from `lut_off`,
-    /// over-allocated by up to a cache line to leave room for the alignment.
-    lut_buf: Vec<u64>,
-    lut_off: usize,
+    /// Backing store of the file, over-allocated by up to a cache line to
+    /// leave room for the alignment.
+    buf: Vec<u64>,
+    /// Start of the aligned file within `buf`.
+    off: usize,
+    /// Words of LUT results at the front of the file.
     lut_len: usize,
-    /// Next register values, staged so sources still read the old state.
-    next_regs: Vec<u64>,
 }
-
-/// `u64` words per 64-byte cache line.
-const LINE_WORDS: usize = 8;
 
 impl KernelScratch {
     pub fn new() -> KernelScratch {
@@ -180,24 +197,56 @@ impl KernelScratch {
     /// Current-cycle result chunks, instruction-major (exposed
     /// crate-internally for toggle accounting and probe sampling).
     pub(crate) fn lut_words(&self) -> &[u64] {
-        &self.lut_buf[self.lut_off..self.lut_off + self.lut_len]
+        &self.buf[self.off..self.off + self.lut_len]
     }
 
-    /// Size the result chunks to `len` words, cache-line aligned, and lend
-    /// them out with the register staging area. Chunk contents are
-    /// unspecified until the step writes them.
-    fn parts(&mut self, len: usize) -> (&mut [u64], &mut Vec<u64>) {
-        self.lut_buf.resize(len + LINE_WORDS - 1, 0);
-        self.lut_off = self.lut_buf.as_ptr().align_offset(64).min(LINE_WORDS - 1);
-        self.lut_len = len;
-        (
-            &mut self.lut_buf[self.lut_off..self.lut_off + len],
-            &mut self.next_regs,
-        )
+    /// Size the file for one step of `kernel` at width `W` and fill every
+    /// slot but the LUT results: inputs and registers from the caller, then
+    /// the zero and all-ones chunks. LUT chunks are unspecified until the
+    /// step writes them.
+    fn load<const W: usize>(
+        &mut self,
+        kernel: &CompiledKernel,
+        inputs: &[u64],
+        regs: &[u64],
+    ) -> &mut [u64] {
+        assert_eq!(inputs.len(), kernel.n_inputs * W, "input word count");
+        assert_eq!(regs.len(), kernel.n_regs * W, "register word count");
+        let lut_len = kernel.instrs.len() * W;
+        let len = kernel.n_slots() * W;
+        self.buf.resize(len + LINE_WORDS - 1, 0);
+        self.off = self.buf.as_ptr().align_offset(64).min(LINE_WORDS - 1);
+        self.lut_len = lut_len;
+        let file = &mut self.buf[self.off..self.off + len];
+        let (ins, rest) = file[lut_len..].split_at_mut(inputs.len());
+        ins.copy_from_slice(inputs);
+        let (reg, consts) = rest.split_at_mut(regs.len());
+        reg.copy_from_slice(regs);
+        let (zero, ones) = consts.split_at_mut(W);
+        zero.fill(0);
+        ones.fill(!0);
+        file
     }
 }
 
+/// A [`KernelInstr`] with its operands resolved to signal-file slots — the
+/// form the evaluator runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SlotInstr {
+    table: u64,
+    ops: [u32; 6],
+    n_ops: u8,
+    op: Op,
+}
+
 /// A context's netlist + configuration lowered to a flat instruction stream.
+///
+/// Every signal a step reads lives in one signal file (held by the
+/// [`KernelScratch`]), one chunk per slot: instruction results at slots
+/// `0..n_instrs`, then the primary inputs, then the registers, then a zero
+/// and an all-ones chunk. Operands, outputs and DFF sources are resolved to
+/// their slots once, when the kernel is built or optimized, so every load
+/// in the step loop is one unconditional `W`-word copy.
 ///
 /// `PartialEq` compares the full lowered form (instruction stream, output
 /// and register taps) — two equal kernels are bit-for-bit interchangeable,
@@ -215,6 +264,10 @@ pub struct CompiledKernel {
     /// longer address mapped LUT positions — probes, census, and fault
     /// campaigns must use unoptimized kernels.
     pub(crate) optimized: bool,
+    /// `instrs`, `outputs` and `dffs` resolved to signal-file slots.
+    code: Vec<SlotInstr>,
+    output_slots: Vec<u32>,
+    dff_slots: Vec<u32>,
 }
 
 impl CompiledKernel {
@@ -243,14 +296,77 @@ impl CompiledKernel {
                 }
             })
             .collect();
-        CompiledKernel {
+        CompiledKernel::from_stream(
             n_inputs,
             n_regs,
             instrs,
-            outputs: outputs.map(Operand::from_source).collect(),
-            dffs: dffs.map(Operand::from_source).collect(),
-            optimized: false,
-        }
+            outputs.map(Operand::from_source).collect(),
+            dffs.map(Operand::from_source).collect(),
+            false,
+        )
+    }
+
+    /// Assemble a kernel from an instruction stream, resolving every
+    /// operand, output and DFF source to its signal-file slot.
+    pub(crate) fn from_stream(
+        n_inputs: usize,
+        n_regs: usize,
+        instrs: Vec<KernelInstr>,
+        outputs: Vec<Operand>,
+        dffs: Vec<Operand>,
+        optimized: bool,
+    ) -> CompiledKernel {
+        assert_eq!(dffs.len(), n_regs, "one DFF source per register");
+        let mut kernel = CompiledKernel {
+            n_inputs,
+            n_regs,
+            instrs,
+            outputs,
+            dffs,
+            optimized,
+            code: Vec::new(),
+            output_slots: Vec::new(),
+            dff_slots: Vec::new(),
+        };
+        let zero = kernel.slot(Operand::Const(false));
+        kernel.code = kernel
+            .instrs
+            .iter()
+            .map(|instr| {
+                let mut ops = [zero; 6];
+                for (s, &op) in ops.iter_mut().zip(&instr.ops[..instr.n_ops as usize]) {
+                    *s = kernel.slot(op);
+                }
+                SlotInstr {
+                    table: instr.table,
+                    ops,
+                    n_ops: instr.n_ops,
+                    op: instr.op,
+                }
+            })
+            .collect();
+        kernel.output_slots = kernel.outputs.iter().map(|&o| kernel.slot(o)).collect();
+        kernel.dff_slots = kernel.dffs.iter().map(|&d| kernel.slot(d)).collect();
+        kernel
+    }
+
+    /// The signal-file slot an operand reads.
+    fn slot(&self, op: Operand) -> u32 {
+        let inputs = self.instrs.len();
+        let regs = inputs + self.n_inputs;
+        let consts = regs + self.n_regs;
+        let slot = match op {
+            Operand::Lut(l) => l as usize,
+            Operand::Input(i) => inputs + i as usize,
+            Operand::Register(r) => regs + r as usize,
+            Operand::Const(c) => consts + c as usize,
+        };
+        u32::try_from(slot).expect("signal file exceeds u32 slots")
+    }
+
+    /// Chunks in the signal file: results, inputs, registers, two constants.
+    fn n_slots(&self) -> usize {
+        self.instrs.len() + self.n_inputs + self.n_regs + 2
     }
 
     pub fn n_inputs(&self) -> usize {
@@ -289,8 +405,11 @@ impl CompiledKernel {
     /// the mutated table. (In practice faults are only ever injected into
     /// unoptimized kernels, where every opcode is already `Table`.)
     pub(crate) fn flip_table_bit(&mut self, position: usize, assignment: usize) {
-        self.instrs[position].table ^= 1u64 << assignment;
-        self.instrs[position].op = Op::Table;
+        let instr = &mut self.instrs[position];
+        instr.table ^= 1u64 << assignment;
+        instr.op = Op::Table;
+        self.code[position].table = instr.table;
+        self.code[position].op = Op::Table;
     }
 
     /// One clock edge over 64 lanes: the `W = 1` instantiation of
@@ -320,25 +439,17 @@ impl CompiledKernel {
         scratch: &mut KernelScratch,
         out: &mut Vec<u64>,
     ) {
-        debug_assert_eq!(inputs.len(), self.n_inputs * W, "input word count");
-        debug_assert_eq!(regs.len(), self.n_regs * W, "register word count");
-        let (lut_words, next_regs) = scratch.parts(self.instrs.len() * W);
+        let file = scratch.load::<W>(self, inputs, regs);
         let mut mux = [[0u64; W]; 32];
-        for i in 0..self.instrs.len() {
-            let c = eval_instr_wide::<W>(&self.instrs[i], inputs, regs, lut_words, &mut mux);
-            lut_words[i * W..(i + 1) * W].copy_from_slice(&c);
+        for (i, instr) in self.code.iter().enumerate() {
+            let c = eval::<W>(instr, file, &mut mux);
+            file[i * W..][..W].copy_from_slice(&c);
         }
         out.clear();
-        for &o in &self.outputs {
-            out.extend_from_slice(&load::<W>(o, inputs, regs, lut_words));
+        for &s in &self.output_slots {
+            out.extend_from_slice(&chunk::<W>(file, s));
         }
-        // Stage next-state chunks first: a DFF source may read another
-        // register's *old* value.
-        next_regs.clear();
-        for &d in &self.dffs {
-            next_regs.extend_from_slice(&load::<W>(d, inputs, regs, lut_words));
-        }
-        regs.copy_from_slice(next_regs);
+        self.commit::<W>(file, regs);
     }
 
     /// Per-instruction mask of the registers' transitive fanin cone — the
@@ -378,35 +489,33 @@ impl CompiledKernel {
         scratch: &mut KernelScratch,
     ) {
         debug_assert_eq!(cone.len(), self.instrs.len());
-        let (lut_words, next_regs) = scratch.parts(self.instrs.len() * W);
+        let file = scratch.load::<W>(self, inputs, regs);
         let mut mux = [[0u64; W]; 32];
-        for (i, &live) in cone.iter().enumerate() {
-            if !live {
-                continue;
+        for (i, (instr, &live)) in self.code.iter().zip(cone).enumerate() {
+            if live {
+                let c = eval::<W>(instr, file, &mut mux);
+                file[i * W..][..W].copy_from_slice(&c);
             }
-            let c = eval_instr_wide::<W>(&self.instrs[i], inputs, regs, lut_words, &mut mux);
-            lut_words[i * W..(i + 1) * W].copy_from_slice(&c);
         }
-        next_regs.clear();
-        for &d in &self.dffs {
-            next_regs.extend_from_slice(&load::<W>(d, inputs, regs, lut_words));
+        self.commit::<W>(file, regs);
+    }
+
+    /// Write every DFF source's chunk to its register. The file still holds
+    /// the pre-edge registers, so a DFF that reads another register sees
+    /// its *old* value.
+    fn commit<const W: usize>(&self, file: &[u64], regs: &mut [u64]) {
+        for (r, &s) in regs.chunks_exact_mut(W).zip(&self.dff_slots) {
+            r.copy_from_slice(&chunk::<W>(file, s));
         }
-        regs.copy_from_slice(next_regs);
     }
 }
 
-/// Load one operand's `W`-word chunk. The fixed-size copy compiles to one
-/// vector load at every supported width.
-#[inline]
-fn load<const W: usize>(op: Operand, inputs: &[u64], regs: &[u64], lut_words: &[u64]) -> [u64; W] {
+/// One slot's `W`-word chunk. The fixed-size copy compiles to one vector
+/// load at every supported width.
+#[inline(always)]
+fn chunk<const W: usize>(file: &[u64], slot: u32) -> [u64; W] {
     let mut c = [0u64; W];
-    match op {
-        Operand::Input(i) => c.copy_from_slice(&inputs[i as usize * W..][..W]),
-        Operand::Register(r) => c.copy_from_slice(&regs[r as usize * W..][..W]),
-        Operand::Lut(l) => c.copy_from_slice(&lut_words[l as usize * W..][..W]),
-        Operand::Const(true) => c = [!0u64; W],
-        Operand::Const(false) => {}
-    }
+    c.copy_from_slice(&file[slot as usize * W..][..W]);
     c
 }
 
@@ -442,56 +551,44 @@ fn zip3<const W: usize>(
     o
 }
 
+/// The constant chunk a zero-operand table broadcasts.
+#[inline]
+fn constant<const W: usize>(table: u64) -> [u64; W] {
+    if table & 1 == 1 {
+        [!0u64; W]
+    } else {
+        [0u64; W]
+    }
+}
+
 /// Evaluate one instruction across all `64 * W` lanes.
 #[inline]
-fn eval_instr_wide<const W: usize>(
-    instr: &KernelInstr,
-    inputs: &[u64],
-    regs: &[u64],
-    lut_words: &[u64],
-    mux: &mut [[u64; W]; 32],
-) -> [u64; W] {
-    let ld = |op: Operand| load::<W>(op, inputs, regs, lut_words);
+fn eval<const W: usize>(instr: &SlotInstr, file: &[u64], mux: &mut [[u64; W]; 32]) -> [u64; W] {
+    let ld = |j: usize| chunk::<W>(file, instr.ops[j]);
     match instr.op {
-        Op::Table => eval_table_wide::<W>(instr, inputs, regs, lut_words, mux),
-        Op::Const => {
-            if instr.table & 1 == 1 {
-                [!0u64; W]
-            } else {
-                [0u64; W]
-            }
-        }
-        Op::Buf => ld(instr.ops[0]),
-        Op::Not => map1(ld(instr.ops[0]), |a| !a),
-        Op::Logic2(t) => eval_logic2::<W>(t, ld(instr.ops[0]), ld(instr.ops[1])),
-        Op::MuxSel2 => zip3(
-            ld(instr.ops[0]),
-            ld(instr.ops[1]),
-            ld(instr.ops[2]),
-            |a, b, s| (a & !s) | (b & s),
-        ),
-        Op::Maj3 => zip3(
-            ld(instr.ops[0]),
-            ld(instr.ops[1]),
-            ld(instr.ops[2]),
-            |a, b, c| (a & b) | ((a | b) & c),
-        ),
-        Op::AndAll { invert } => fold_all::<W>(instr, invert, &ld, |a, b| a & b),
-        Op::OrAll { invert } => fold_all::<W>(instr, invert, &ld, |a, b| a | b),
-        Op::XorAll { invert } => fold_all::<W>(instr, invert, &ld, |a, b| a ^ b),
+        Op::Table => eval_table::<W>(instr, file, mux),
+        Op::Const => constant::<W>(instr.table),
+        Op::Buf => ld(0),
+        Op::Not => map1(ld(0), |a| !a),
+        Op::Logic2(t) => eval_logic2::<W>(t, ld(0), ld(1)),
+        Op::MuxSel2 => zip3(ld(0), ld(1), ld(2), |a, b, s| (a & !s) | (b & s)),
+        Op::Maj3 => zip3(ld(0), ld(1), ld(2), |a, b, c| (a & b) | ((a | b) & c)),
+        Op::AndAll { invert } => fold_all::<W>(instr, invert, file, |a, b| a & b),
+        Op::OrAll { invert } => fold_all::<W>(instr, invert, file, |a, b| a | b),
+        Op::XorAll { invert } => fold_all::<W>(instr, invert, file, |a, b| a ^ b),
     }
 }
 
 #[inline]
 fn fold_all<const W: usize>(
-    instr: &KernelInstr,
+    instr: &SlotInstr,
     invert: bool,
-    ld: &impl Fn(Operand) -> [u64; W],
+    file: &[u64],
     f: impl Fn(u64, u64) -> u64,
 ) -> [u64; W] {
-    let mut acc = ld(instr.ops[0]);
-    for &op in &instr.ops[1..instr.n_ops as usize] {
-        let x = ld(op);
+    let mut acc = chunk::<W>(file, instr.ops[0]);
+    for &s in &instr.ops[1..instr.n_ops as usize] {
+        let x = chunk::<W>(file, s);
         for (aw, &xw) in acc.iter_mut().zip(&x) {
             *aw = f(*aw, xw);
         }
@@ -543,22 +640,16 @@ fn eval_logic2<const W: usize>(t: u8, a: [u64; W], b: [u64; W]) -> [u64; W] {
 /// paired with operand 0, then fold the remaining k-1 operands mux-style.
 /// Total cost `2^k - 1` chunk-muxes — about one bit-op per lane per LUT.
 #[inline]
-fn eval_table_wide<const W: usize>(
-    instr: &KernelInstr,
-    inputs: &[u64],
-    regs: &[u64],
-    lut_words: &[u64],
+fn eval_table<const W: usize>(
+    instr: &SlotInstr,
+    file: &[u64],
     mux: &mut [[u64; W]; 32],
 ) -> [u64; W] {
     let k = instr.n_ops as usize;
     if k == 0 {
-        return if instr.table & 1 == 1 {
-            [!0u64; W]
-        } else {
-            [0u64; W]
-        };
+        return constant::<W>(instr.table);
     }
-    let x0 = load::<W>(instr.ops[0], inputs, regs, lut_words);
+    let x0 = chunk::<W>(file, instr.ops[0]);
     let half = 1usize << (k - 1);
     for (a, slot) in mux.iter_mut().enumerate().take(half) {
         // Table bits (2a, 2a+1) are the outputs for x0 = 0 / 1 under the
@@ -576,8 +667,8 @@ fn eval_table_wide<const W: usize>(
         }
     }
     let mut width = half;
-    for &opj in &instr.ops[1..k] {
-        let xj = load::<W>(opj, inputs, regs, lut_words);
+    for &s in &instr.ops[1..k] {
+        let xj = chunk::<W>(file, s);
         width >>= 1;
         for a in 0..width {
             let (lo, hi) = (mux[2 * a], mux[2 * a + 1]);
@@ -623,34 +714,55 @@ pub(crate) fn extract_lane_wide(words: &[u64], w: usize, lane: usize, bits: &mut
 mod tests {
     use super::*;
 
-    fn table_instr(n_ops: u8, table: u64) -> KernelInstr {
+    /// A kernel of one instruction over `n_ops` primary inputs, with the
+    /// instruction's result as its only output.
+    fn one_instr_kernel(n_ops: u8, table: u64, op: Op) -> CompiledKernel {
         let mut ops = [Operand::Const(false); 6];
-        for (i, op) in ops.iter_mut().enumerate().take(n_ops as usize) {
-            *op = Operand::Input(i as u32);
+        for (i, o) in ops.iter_mut().enumerate().take(n_ops as usize) {
+            *o = Operand::Input(i as u32);
         }
-        KernelInstr {
+        let instr = KernelInstr {
             ops,
             n_ops,
             table,
-            op: Op::Table,
-        }
+            op,
+        };
+        CompiledKernel::from_stream(
+            n_ops as usize,
+            0,
+            vec![instr],
+            vec![Operand::Lut(0)],
+            vec![],
+            false,
+        )
+    }
+
+    /// The output word of one 64-lane step of [`one_instr_kernel`].
+    fn eval_one(n_ops: u8, table: u64, op: Op, inputs: &[u64]) -> u64 {
+        let kernel = one_instr_kernel(n_ops, table, op);
+        let mut out = Vec::new();
+        kernel.step(
+            &inputs[..n_ops as usize],
+            &mut [],
+            &mut KernelScratch::new(),
+            &mut out,
+        );
+        out[0]
     }
 
     #[test]
     fn mux_tree_matches_direct_table_lookup() {
         // Every 3-input table, every address, on a lane-striped stimulus.
-        for table in 0..256u64 {
-            let instr = table_instr(3, table);
-            // Lane l drives address l % 8.
-            let mut inputs = [0u64; 3];
-            for lane in 0..LANES {
-                let a = lane % 8;
-                for (i, w) in inputs.iter_mut().enumerate() {
-                    *w |= (((a >> i) & 1) as u64) << lane;
-                }
+        // Lane l drives address l % 8.
+        let mut inputs = [0u64; 3];
+        for lane in 0..LANES {
+            let a = lane % 8;
+            for (i, w) in inputs.iter_mut().enumerate() {
+                *w |= (((a >> i) & 1) as u64) << lane;
             }
-            let mut mux = [[0u64; 1]; 32];
-            let w = eval_instr_wide::<1>(&instr, &inputs, &[], &[], &mut mux)[0];
+        }
+        for table in 0..256u64 {
+            let w = eval_one(3, table, Op::Table, &inputs);
             for lane in 0..LANES {
                 let a = lane % 8;
                 assert_eq!(
@@ -665,12 +777,8 @@ mod tests {
     #[test]
     fn zero_input_instruction_broadcasts_its_constant() {
         for (table, want) in [(0u64, 0u64), (1, !0)] {
-            let instr = table_instr(0, table);
-            let mut mux = [[0u64; 1]; 32];
-            assert_eq!(
-                eval_instr_wide::<1>(&instr, &[], &[], &[], &mut mux),
-                [want]
-            );
+            assert_eq!(eval_one(0, table, Op::Table, &[]), want);
+            assert_eq!(eval_one(0, table, Op::Const, &[]), want);
         }
     }
 
@@ -737,21 +845,97 @@ mod tests {
             (Op::XorAll { invert: true }, 3, 0b0110_1001),
         ];
         for (op, n_ops, table) in cases {
-            let mut instr = table_instr(n_ops, table);
-            let mut mux = [[0u64; 1]; 32];
-            let want = eval_instr_wide::<1>(&instr, &x, &[], &[], &mut mux);
-            instr.op = op;
-            let got = eval_instr_wide::<1>(&instr, &x, &[], &[], &mut mux);
+            let want = eval_one(n_ops, table, Op::Table, &x);
+            let got = eval_one(n_ops, table, op, &x);
             assert_eq!(got, want, "{op:?} table {table:#x}");
         }
         // Every 2-input table through Logic2.
         for table in 0..16u64 {
-            let mut instr = table_instr(2, table);
-            let mut mux = [[0u64; 1]; 32];
-            let want = eval_instr_wide::<1>(&instr, &x, &[], &[], &mut mux);
-            instr.op = Op::Logic2(table as u8);
-            let got = eval_instr_wide::<1>(&instr, &x, &[], &[], &mut mux);
+            let want = eval_one(2, table, Op::Table, &x);
+            let got = eval_one(2, table, Op::Logic2(table as u8), &x);
             assert_eq!(got, want, "Logic2 table {table:#x}");
+        }
+    }
+
+    /// Step `kernel` a few cycles at width `W` and check every word of every
+    /// output and register chunk against its own width-1 run. One scratch
+    /// serves both widths, so the signal file is re-laid-out every step.
+    fn matches_narrow_steps<const W: usize>(kernel: &CompiledKernel) {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state ^ (state >> 29)
+        };
+        let (n_in, n_regs) = (kernel.n_inputs(), kernel.n_regs());
+        let column = |buf: &[u64], w: usize| -> Vec<u64> {
+            buf.iter().skip(w).step_by(W).copied().collect()
+        };
+        let mut wide_regs: Vec<u64> = (0..n_regs * W).map(|_| next()).collect();
+        let mut narrow_regs: Vec<Vec<u64>> = (0..W).map(|w| column(&wide_regs, w)).collect();
+        let mut scratch = KernelScratch::new();
+        let (mut wide_out, mut out) = (Vec::new(), Vec::new());
+        for cycle in 0..4 {
+            let inputs: Vec<u64> = (0..n_in * W).map(|_| next()).collect();
+            kernel.step_wide::<W>(&inputs, &mut wide_regs, &mut scratch, &mut wide_out);
+            for (w, regs) in narrow_regs.iter_mut().enumerate() {
+                kernel.step(&column(&inputs, w), regs, &mut scratch, &mut out);
+                assert_eq!(column(&wide_out, w), out, "W={W} cycle {cycle} word {w}");
+                assert_eq!(&column(&wide_regs, w), regs, "W={W} cycle {cycle} word {w}");
+            }
+        }
+    }
+
+    #[test]
+    fn taps_read_inputs_registers_and_constants_directly() {
+        // Outputs and DFF sources that bypass the LUTs read the input,
+        // register and constant regions of the signal file:
+        // out = [in1, r0, 1, 0, in0 ^ r2]; r0' = in0, r1' = 1, r2' = r0.
+        let kernel = CompiledKernel::build(
+            2,
+            3,
+            std::iter::once((
+                &[MappedSource::Input(0), MappedSource::Register(2)][..],
+                0b0110u64,
+            )),
+            [
+                MappedSource::Input(1),
+                MappedSource::Register(0),
+                MappedSource::Const(true),
+                MappedSource::Const(false),
+                MappedSource::Lut(0),
+            ]
+            .into_iter(),
+            [
+                MappedSource::Input(0),
+                MappedSource::Const(true),
+                MappedSource::Register(0),
+            ]
+            .into_iter(),
+        );
+        let (a, b) = (0x0123_4567_89AB_CDEFu64, 0xFEDC_BA98_7654_3210u64);
+        let (r0, r1, r2) = (0xAAAA_0000_FFFF_5555u64, 0x1234u64, 0xF0F0_F0F0u64);
+        for kernel in [kernel.clone(), kernel.optimize()] {
+            let mut regs = vec![r0, r1, r2];
+            let mut out = Vec::new();
+            kernel.step(&[a, b], &mut regs, &mut KernelScratch::new(), &mut out);
+            assert_eq!(
+                out,
+                vec![b, r0, !0, 0, a ^ r2],
+                "optimized: {}",
+                kernel.optimized()
+            );
+            assert_eq!(regs, vec![a, !0, r0], "optimized: {}", kernel.optimized());
+            for &w in SUPPORTED_WIDTHS {
+                match w {
+                    1 => matches_narrow_steps::<1>(&kernel),
+                    2 => matches_narrow_steps::<2>(&kernel),
+                    4 => matches_narrow_steps::<4>(&kernel),
+                    8 => matches_narrow_steps::<8>(&kernel),
+                    _ => unreachable!("width {w} has no instantiation here"),
+                }
+            }
         }
     }
 

@@ -25,7 +25,7 @@ use mcfpga_route::{
     RoutedContext, RoutingGraph, SwitchUsage,
 };
 
-use crate::device::CompileError;
+use crate::device::{check_workload_fits, CompileError};
 use crate::kernel::{self, CompiledKernel, KernelScratch, LANES};
 use crate::observe::{
     self, ActivityCensus, ActivityReport, ContextProbes, ProbeCapture, ProbeSet, ReconfigEnergy,
@@ -453,11 +453,7 @@ impl MultiDevice {
         if circuits.is_empty() {
             return Err(CompileError::EmptyWorkload);
         }
-        arch.validate().expect("valid architecture");
-        assert!(
-            circuits.len() <= arch.n_contexts,
-            "more circuits than device contexts"
-        );
+        check_workload_fits(arch, circuits.len())?;
         let k = arch.lut.min_inputs;
 
         // Per-context flows: each context is placed (with its own derived
@@ -566,11 +562,7 @@ impl MultiDevice {
             circuits.len(),
             "one DeltaSeed per circuit (use DeltaSeed::Cold for new slots)"
         );
-        arch.validate().expect("valid architecture");
-        assert!(
-            circuits.len() <= arch.n_contexts,
-            "more circuits than device contexts"
-        );
+        check_workload_fits(arch, circuits.len())?;
         let k = arch.lut.min_inputs;
         let graph = RoutingGraph::build(arch);
         let expired = || cancel.is_some_and(|f| f());

@@ -34,10 +34,13 @@
 //! runs on the unoptimized kernel by construction, and why optimized and
 //! unoptimized serving artifacts hash to different design fingerprints.
 //!
-//! The pass is off by default ([`KernelOptions::optimize`] = `false`):
-//! observability-heavy and fault-injection flows want the one-to-one
-//! LUT-position correspondence, and the default keeps every existing
-//! artifact bit-stable. Throughput-mode callers opt in per compile.
+//! The pass is on by default ([`KernelOptions::optimize`] = `true`), so
+//! `MultiDevice`, `Flow` and serve compiles all run optimized kernels.
+//! The unoptimized kernel still runs wherever LUT positions matter:
+//! `MultiDevice` falls back to it while probes are armed or the activity
+//! census is enabled, the fault campaign lowers fresh unoptimized kernels,
+//! and `Device` keeps it because it counts per-LUT toggles on every batched
+//! step. Callers that want it elsewhere pass `with_optimize(false)`.
 
 use crate::kernel::{CompiledKernel, KernelInstr, Op, Operand};
 use serde::{Deserialize, Serialize};
@@ -46,12 +49,18 @@ use std::collections::HashMap;
 /// Kernel lowering knobs, threaded through `Device` / `MultiDevice` /
 /// `Flow` / serve compile options. Serializable so session snapshots can
 /// carry the full compile request across servers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[non_exhaustive]
 pub struct KernelOptions {
-    /// Run the optimizer pass on every compiled kernel. Off by default —
-    /// see the module docs for the rationale.
+    /// Run the optimizer pass on every compiled kernel. On by default —
+    /// see the module docs for where the unoptimized kernel still runs.
     pub optimize: bool,
+}
+
+impl Default for KernelOptions {
+    fn default() -> Self {
+        KernelOptions { optimize: true }
+    }
 }
 
 impl KernelOptions {
@@ -280,14 +289,8 @@ impl CompiledKernel {
             }
         }
 
-        let kernel = CompiledKernel {
-            n_inputs: self.n_inputs,
-            n_regs: self.n_regs,
-            instrs,
-            outputs,
-            dffs,
-            optimized: true,
-        };
+        let kernel =
+            CompiledKernel::from_stream(self.n_inputs, self.n_regs, instrs, outputs, dffs, true);
         stats.instrs_after = kernel.instrs.len();
         stats.word_ops_after = kernel.word_ops();
         (kernel, stats)

@@ -4,7 +4,7 @@
 
 use mcfpga::netlist::{library, workload, RandomNetlistParams};
 use mcfpga::prelude::*;
-use mcfpga::sim::Device;
+use mcfpga::sim::{CompileError, Device};
 
 #[test]
 fn every_library_circuit_compiles_and_verifies_replicated() {
@@ -114,10 +114,15 @@ fn bigger_grids_and_more_contexts_compile() {
 fn workload_larger_than_contexts_is_rejected() {
     let arch = ArchSpec::paper_default().with_contexts(2);
     let w = workload(RandomNetlistParams::default(), 4, 0.05, 3);
-    let result = std::panic::catch_unwind(|| Device::compile(&arch, &w));
     assert!(
-        result.is_err(),
-        "4 contexts on a 2-context device must panic"
+        matches!(
+            Device::compile(&arch, &w),
+            Err(CompileError::TooManyCircuits {
+                circuits: 4,
+                contexts: 2
+            })
+        ),
+        "4 contexts on a 2-context device must be a typed error"
     );
 }
 

@@ -7,7 +7,7 @@ use mcfpga_arch::ArchSpec;
 use mcfpga_netlist::{library, Netlist};
 use mcfpga_obs::Recorder;
 use mcfpga_serve::{CompileJob, ServeConfig, ServeError, Server, SimJob, SubmitError};
-use mcfpga_sim::{CompileOptions, MultiDevice};
+use mcfpga_sim::{CompileError, CompileOptions, MultiDevice};
 use proptest::prelude::*;
 
 fn arch() -> ArchSpec {
@@ -183,6 +183,31 @@ fn sim_against_unknown_session_is_a_typed_error() {
         }
         other => panic!("expected SessionNotFound, got {other:?}"),
     }
+}
+
+#[test]
+fn oversized_workload_completes_with_a_typed_error_and_the_worker_survives() {
+    let server = Server::new(ServeConfig::default().with_workers(1));
+    // Five circuits on the four-context paper device.
+    let five = vec![library::adder(2); arch().n_contexts + 1];
+    let result = server
+        .submit_compile(CompileJob::new(arch(), five).with_options(serial()))
+        .expect("accepted")
+        .wait();
+    match result {
+        Err(ServeError::Job(mcfpga_sim::Error::Compile(CompileError::TooManyCircuits {
+            circuits: 5,
+            contexts: 4,
+        }))) => {}
+        other => panic!("expected TooManyCircuits, got {other:?}"),
+    }
+    // The single worker is still serving: the next valid job completes.
+    server
+        .submit_compile(CompileJob::new(arch(), cheap_circuits()).with_options(serial()))
+        .expect("accepted")
+        .wait()
+        .expect("compiles");
+    assert_eq!(server.snapshot().inflight, 0, "both jobs finished");
 }
 
 /// One tenant's scripted activity: which context to run and how many
