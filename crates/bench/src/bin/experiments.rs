@@ -876,7 +876,7 @@ fn faults() {
 /// Bit-parallel compiled simulation: 64 vectors per word through the fabric
 /// model, measured against the scalar interpreter (`BENCH_sim.json`).
 fn sim() {
-    use mcfpga::sim::{lut_fault_campaign, KernelOptions, LANES, SUPPORTED_WIDTHS};
+    use mcfpga::sim::{kernel_isa, lut_fault_campaign, KernelOptions, LANES, SUPPORTED_WIDTHS};
     use rand::rngs::StdRng;
     use rand::{Rng, RngCore, SeedableRng};
 
@@ -1036,7 +1036,12 @@ fn sim() {
         "width-1 reference diverged from the scalar/batched paths"
     );
 
-    println!("\nthroughput matrix ({n_total} chunks/context, every cell verified, 0 = exact):");
+    let available_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "\nthroughput matrix ({n_total} chunks/context, every cell verified, 0 = exact; \
+         kernel ISA {}, available parallelism {available_parallelism}):",
+        kernel_isa()
+    );
     println!(
         "  {:<9} {:>5} {:>7} {:>10} {:>16} {:>11}",
         "optimizer", "width", "threads", "wall ms", "vectors/s", "divergences"
@@ -1202,6 +1207,8 @@ fn sim() {
         batched_vectors_per_sec,
         batched_words_per_sec,
         speedup,
+        kernel_isa: kernel_isa().into(),
+        available_parallelism,
         matrix,
         matrix_best_vectors_per_sec,
         reference_divergences,
@@ -1248,6 +1255,13 @@ struct SimBench {
     /// Kernel word-steps per second (vectors/sec divided by the lane count).
     batched_words_per_sec: f64,
     speedup: f64,
+    /// Vector instruction set the streaming runner picked on this host
+    /// (`mcfpga::sim::kernel_isa`): matrix numbers from hosts with
+    /// different levels are not comparable.
+    kernel_isa: String,
+    /// Threads the host offers; the matrix's `threads` cells above it
+    /// timeslice.
+    available_parallelism: usize,
     /// Streaming-runner cells: optimizer x chunk width x threads, each
     /// verified word-for-word against the width-1 unoptimized reference.
     matrix: Vec<SimMatrixCell>,

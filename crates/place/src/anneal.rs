@@ -14,7 +14,8 @@ pub struct AnnealOptions {
     pub seed: u64,
     /// Moves per temperature step, per block.
     pub moves_per_block: usize,
-    /// Stop when temperature falls below `t_min * cost/nets`.
+    /// Stop when the temperature falls to this absolute value. (The start
+    /// temperature scales with `cost/nets`; the floor does not.)
     pub t_min_factor: f64,
 }
 

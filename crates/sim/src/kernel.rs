@@ -16,10 +16,21 @@
 //! memory. Evaluation is generic over a chunk width `W`: every signal is a
 //! `[u64; W]` chunk carrying **64·W independent stimulus vectors** — one bit
 //! per lane — and every instruction is a handful of fixed-size array ops the
-//! autovectorizer lifts to AVX2/AVX-512/NEON. The classic 64-lane path is
+//! autovectorizer turns into vector code. The classic 64-lane path is
 //! exactly the `W = 1` instantiation ([`CompiledKernel::step`] forwards to
 //! [`CompiledKernel::step_wide`]), so chunk layouts, probe sampling, toggle
 //! census, and lane-0 write-back are preserved bit-for-bit.
+//!
+//! How wide that vector code is depends on the instruction set it is
+//! compiled for. The workspace builds for the target's baseline — SSE2 on
+//! x86-64, where a `W = 8` chunk op becomes four 128-bit ops — so the
+//! streaming loop behind [`crate::MultiDevice::run_throughput`] is compiled
+//! three times: portable, with AVX2 (two 256-bit ops per `W = 8` chunk) and
+//! with AVX-512F (one 512-bit op). The best level the host supports is
+//! detected once at run time ([`kernel_isa`] names it); every level computes
+//! the same integer ops, so outputs are bit-identical across levels. The
+//! single-step entry points ([`CompiledKernel::step_wide`] and the observed
+//! paths) stay portable.
 //!
 //! Every signal a step reads sits in one *signal file* of `W`-word chunks,
 //! held by the [`KernelScratch`] and aligned to a 64-byte cache line:
@@ -60,6 +71,8 @@
 //! bit directly (`CompiledKernel::flip_table_bit`), which is equivalent
 //! and keeps the campaign embarrassingly parallel.
 
+use std::sync::OnceLock;
+
 use mcfpga_map::MappedSource;
 
 /// Stimulus vectors carried per machine word — one per bit lane. A width-`W`
@@ -67,8 +80,67 @@ use mcfpga_map::MappedSource;
 pub const LANES: usize = 64;
 
 /// Chunk widths the runtime dispatcher instantiates. Powers of two up to a
-/// 512-bit chunk (8 × u64 — one AVX-512 register).
+/// 512-bit chunk (8 × u64: one AVX-512 register in the AVX-512 build of the
+/// streaming loop, four SSE2 registers in the portable build).
 pub const SUPPORTED_WIDTHS: &[usize] = &[1, 2, 4, 8];
+
+/// Vector instruction-set level a build of the streaming loop targets.
+/// Levels are ordered: a host that runs one runs every lower one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Isa {
+    /// The target's baseline instruction set (SSE2 on x86-64).
+    Portable,
+    /// AVX2: 256-bit integer ops.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// AVX-512F on top of AVX2: 512-bit integer ops.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Isa {
+    /// Every level this host can run, lowest first.
+    pub(crate) fn supported() -> Vec<Isa> {
+        #[allow(unused_mut)] // only x86-64 has levels above portable
+        let mut levels = vec![Isa::Portable];
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            levels.push(Isa::Avx2);
+            if is_x86_feature_detected!("avx512f") {
+                levels.push(Isa::Avx512);
+            }
+        }
+        levels
+    }
+
+    /// The best level this host can run, detected on first use.
+    pub(crate) fn host() -> Isa {
+        static HOST: OnceLock<Isa> = OnceLock::new();
+        *HOST.get_or_init(|| {
+            *Isa::supported()
+                .last()
+                .expect("the portable level is always supported")
+        })
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Isa::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => "avx512f",
+        }
+    }
+}
+
+/// The vector instruction set the streaming runner
+/// ([`crate::MultiDevice::run_throughput`]) uses on this host: `"avx512f"`,
+/// `"avx2"`, or `"portable"` (the target's baseline). Detected once; the
+/// choice changes speed only, never an output bit.
+pub fn kernel_isa() -> &'static str {
+    Isa::host().name()
+}
 
 /// A compact operand reference, resolved against the chunk-level state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -204,6 +276,7 @@ impl KernelScratch {
     /// slot but the LUT results: inputs and registers from the caller, then
     /// the zero and all-ones chunks. LUT chunks are unspecified until the
     /// step writes them.
+    #[inline(always)]
     fn load<const W: usize>(
         &mut self,
         kernel: &CompiledKernel,
@@ -439,17 +512,74 @@ impl CompiledKernel {
         scratch: &mut KernelScratch,
         out: &mut Vec<u64>,
     ) {
+        out.clear();
+        out.resize(self.output_slots.len() * W, 0);
+        self.step_into::<W>(inputs, regs, scratch, out);
+    }
+
+    /// [`CompiledKernel::step_wide`] writing the `n_outputs * W` output
+    /// words into `out`, which must be exactly that long. Always inlined, so
+    /// each build of [`stream_chunks`] compiles it for its own [`Isa`].
+    #[inline(always)]
+    fn step_into<const W: usize>(
+        &self,
+        inputs: &[u64],
+        regs: &mut [u64],
+        scratch: &mut KernelScratch,
+        out: &mut [u64],
+    ) {
         let file = scratch.load::<W>(self, inputs, regs);
         let mut mux = [[0u64; W]; 32];
         for (i, instr) in self.code.iter().enumerate() {
             let c = eval::<W>(instr, file, &mut mux);
             file[i * W..][..W].copy_from_slice(&c);
         }
-        out.clear();
-        for &s in &self.output_slots {
-            out.extend_from_slice(&chunk::<W>(file, s));
+        for (o, &s) in out.chunks_exact_mut(W).zip(&self.output_slots) {
+            o.copy_from_slice(&chunk::<W>(file, s));
         }
         self.commit::<W>(file, regs);
+    }
+
+    /// Step every chunk of `stimulus` at vector level `isa`, starting from
+    /// `regs` and leaving the final registers there. `stimulus` is
+    /// chunk-major, `n_inputs * W` words per chunk; each step's
+    /// `n_outputs * W` output words land at their place in `out`.
+    ///
+    /// Panics if the host cannot run `isa` (see [`Isa::host`]), the kernel
+    /// has no inputs, or a buffer is not a whole number of chunks long.
+    #[allow(unsafe_code)]
+    pub(crate) fn stream_wide<const W: usize>(
+        &self,
+        isa: Isa,
+        stimulus: &[u64],
+        regs: &mut [u64],
+        scratch: &mut KernelScratch,
+        out: &mut [u64],
+    ) {
+        assert!(isa <= Isa::host(), "host cannot run {}", isa.name());
+        let in_words = self.n_inputs * W;
+        assert!(in_words > 0, "a stream is counted in input chunks");
+        let n_chunks = stimulus.len() / in_words;
+        assert_eq!(stimulus.len(), n_chunks * in_words, "stimulus word count");
+        assert_eq!(
+            out.len(),
+            n_chunks * self.n_outputs() * W,
+            "output word count"
+        );
+        match isa {
+            Isa::Portable => stream_chunks::<W>(self, stimulus, regs, scratch, out),
+            // SAFETY: `isa <= Isa::host()` was asserted above, and
+            // `Isa::supported` yields `Avx2` or higher only after
+            // `is_x86_feature_detected!("avx2")` held on this CPU.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { stream_chunks_avx2::<W>(self, stimulus, regs, scratch, out) },
+            // SAFETY: `isa <= Isa::host()` was asserted above, and
+            // `Isa::supported` yields `Avx512` only after both
+            // `is_x86_feature_detected!("avx2")` and
+            // `is_x86_feature_detected!("avx512f")` held on this CPU.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { stream_chunks_avx512::<W>(self, stimulus, regs, scratch, out) },
+        }
     }
 
     /// Per-instruction mask of the registers' transitive fanin cone — the
@@ -503,6 +633,7 @@ impl CompiledKernel {
     /// Write every DFF source's chunk to its register. The file still holds
     /// the pre-edge registers, so a DFF that reads another register sees
     /// its *old* value.
+    #[inline(always)]
     fn commit<const W: usize>(&self, file: &[u64], regs: &mut [u64]) {
         for (r, &s) in regs.chunks_exact_mut(W).zip(&self.dff_slots) {
             r.copy_from_slice(&chunk::<W>(file, s));
@@ -510,8 +641,58 @@ impl CompiledKernel {
     }
 }
 
-/// One slot's `W`-word chunk. The fixed-size copy compiles to one vector
-/// load at every supported width.
+/// The streaming loop behind [`CompiledKernel::stream_wide`]: one
+/// [`CompiledKernel::step_into`] per chunk, each writing its outputs in
+/// place. Every helper it reaches is `#[inline(always)]`, so each
+/// `#[target_feature]` wrapper below compiles the whole step for its ISA.
+#[inline(always)]
+fn stream_chunks<const W: usize>(
+    kernel: &CompiledKernel,
+    stimulus: &[u64],
+    regs: &mut [u64],
+    scratch: &mut KernelScratch,
+    out: &mut [u64],
+) {
+    let in_words = kernel.n_inputs * W;
+    let out_words = kernel.output_slots.len() * W;
+    for t in 0..stimulus.len() / in_words {
+        kernel.step_into::<W>(
+            &stimulus[t * in_words..][..in_words],
+            regs,
+            scratch,
+            &mut out[t * out_words..][..out_words],
+        );
+    }
+}
+
+/// [`stream_chunks`] compiled with AVX2 enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn stream_chunks_avx2<const W: usize>(
+    kernel: &CompiledKernel,
+    stimulus: &[u64],
+    regs: &mut [u64],
+    scratch: &mut KernelScratch,
+    out: &mut [u64],
+) {
+    stream_chunks::<W>(kernel, stimulus, regs, scratch, out);
+}
+
+/// [`stream_chunks`] compiled with AVX2 and AVX-512F enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f")]
+fn stream_chunks_avx512<const W: usize>(
+    kernel: &CompiledKernel,
+    stimulus: &[u64],
+    regs: &mut [u64],
+    scratch: &mut KernelScratch,
+    out: &mut [u64],
+) {
+    stream_chunks::<W>(kernel, stimulus, regs, scratch, out);
+}
+
+/// One slot's `W`-word chunk: a fixed-size copy, as many vector loads as
+/// the build's register width needs.
 #[inline(always)]
 fn chunk<const W: usize>(file: &[u64], slot: u32) -> [u64; W] {
     let mut c = [0u64; W];
@@ -519,7 +700,7 @@ fn chunk<const W: usize>(file: &[u64], slot: u32) -> [u64; W] {
     c
 }
 
-#[inline]
+#[inline(always)]
 fn map1<const W: usize>(a: [u64; W], f: impl Fn(u64) -> u64) -> [u64; W] {
     let mut o = [0u64; W];
     for (ow, &aw) in o.iter_mut().zip(&a) {
@@ -528,7 +709,7 @@ fn map1<const W: usize>(a: [u64; W], f: impl Fn(u64) -> u64) -> [u64; W] {
     o
 }
 
-#[inline]
+#[inline(always)]
 fn zip2<const W: usize>(a: [u64; W], b: [u64; W], f: impl Fn(u64, u64) -> u64) -> [u64; W] {
     let mut o = [0u64; W];
     for (i, ow) in o.iter_mut().enumerate() {
@@ -537,7 +718,7 @@ fn zip2<const W: usize>(a: [u64; W], b: [u64; W], f: impl Fn(u64, u64) -> u64) -
     o
 }
 
-#[inline]
+#[inline(always)]
 fn zip3<const W: usize>(
     a: [u64; W],
     b: [u64; W],
@@ -552,7 +733,7 @@ fn zip3<const W: usize>(
 }
 
 /// The constant chunk a zero-operand table broadcasts.
-#[inline]
+#[inline(always)]
 fn constant<const W: usize>(table: u64) -> [u64; W] {
     if table & 1 == 1 {
         [!0u64; W]
@@ -562,7 +743,7 @@ fn constant<const W: usize>(table: u64) -> [u64; W] {
 }
 
 /// Evaluate one instruction across all `64 * W` lanes.
-#[inline]
+#[inline(always)]
 fn eval<const W: usize>(instr: &SlotInstr, file: &[u64], mux: &mut [[u64; W]; 32]) -> [u64; W] {
     let ld = |j: usize| chunk::<W>(file, instr.ops[j]);
     match instr.op {
@@ -579,7 +760,7 @@ fn eval<const W: usize>(instr: &SlotInstr, file: &[u64], mux: &mut [[u64; W]; 32
     }
 }
 
-#[inline]
+#[inline(always)]
 fn fold_all<const W: usize>(
     instr: &SlotInstr,
     invert: bool,
@@ -604,7 +785,7 @@ fn fold_all<const W: usize>(
 /// Direct 2-input evaluation: one chunk-op for AND/OR/XOR, two for the
 /// inverted and asymmetric shapes, with a sum-of-minterms fallback keeping
 /// the opcode total for degenerate tables (which the optimizer never emits).
-#[inline]
+#[inline(always)]
 fn eval_logic2<const W: usize>(t: u8, a: [u64; W], b: [u64; W]) -> [u64; W] {
     match t & 0xF {
         0b1000 => zip2(a, b, |a, b| a & b),
@@ -639,7 +820,7 @@ fn eval_logic2<const W: usize>(t: u8, a: [u64; W], b: [u64; W]) -> [u64; W] {
 /// Generic table evaluation: seed `2^(k-1)` chunks from the constant table
 /// paired with operand 0, then fold the remaining k-1 operands mux-style.
 /// Total cost `2^k - 1` chunk-muxes — about one bit-op per lane per LUT.
-#[inline]
+#[inline(always)]
 fn eval_table<const W: usize>(
     instr: &SlotInstr,
     file: &[u64],

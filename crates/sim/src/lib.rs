@@ -31,7 +31,7 @@ pub use equivalence::{
 };
 pub use error::Error;
 pub use faults::{lut_fault_campaign, CampaignReport, LutFault};
-pub use kernel::{CompiledKernel, KernelScratch, LANES, SUPPORTED_WIDTHS};
+pub use kernel::{kernel_isa, CompiledKernel, KernelScratch, LANES, SUPPORTED_WIDTHS};
 pub use multi::{CompileOptions, ContextArtifacts, DeltaSeed, DeltaStats, MultiDevice, SimError};
 pub use observe::{
     captures_to_waveform, switch_energy_pj, ActivityReport, LutActivity, ProbeCapture, ProbeSet,

@@ -26,7 +26,7 @@ use mcfpga_route::{
 };
 
 use crate::device::{check_workload_fits, CompileError};
-use crate::kernel::{self, CompiledKernel, KernelScratch, LANES};
+use crate::kernel::{self, CompiledKernel, Isa, KernelScratch, LANES};
 use crate::observe::{
     self, ActivityCensus, ActivityReport, ContextProbes, ProbeCapture, ProbeSet, ReconfigEnergy,
 };
@@ -46,8 +46,9 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub struct CompileOptions {
-    /// Fan the per-context map/place/route work out across scoped threads
-    /// (one per programmed context). Contexts are fully independent — each
+    /// Fan the per-context map/place/route work out across scoped threads:
+    /// one per programmed context, capped at `available_parallelism` (see
+    /// [`CompileOptions::resolved_workers`]). Contexts are fully independent — each
     /// gets its own derived annealing seed and its own routing pass on the
     /// shared (immutable) graph — and results are merged back in context
     /// order, so the compiled device is bit-for-bit identical to the serial
@@ -127,6 +128,9 @@ pub enum SimError {
     /// A throughput run asked for a chunk width the kernel dispatcher does
     /// not instantiate (see [`crate::kernel::SUPPORTED_WIDTHS`]).
     UnsupportedWidth { width: usize },
+    /// A throughput run targeted a context without primary inputs: its run
+    /// length is counted in input chunks, so such a context cannot stream.
+    ThroughputNoInputs { context: usize },
     /// A throughput run's stimulus length is not a whole number of chunks
     /// (`n_inputs * width` words each).
     ThroughputStimulus {
@@ -167,6 +171,11 @@ impl std::fmt::Display for SimError {
                 f,
                 "chunk width {width} unsupported (use one of {:?})",
                 crate::kernel::SUPPORTED_WIDTHS
+            ),
+            SimError::ThroughputNoInputs { context } => write!(
+                f,
+                "context {context} has no primary inputs, so it cannot be \
+                 streamed (a throughput run is counted in input chunks)"
             ),
             SimError::ThroughputStimulus {
                 context,
@@ -1105,7 +1114,14 @@ impl MultiDevice {
     /// so the parallel run is bit-for-bit identical to the serial one.
     /// Armed probes or an enabled census force `threads = 1` and the
     /// unoptimized kernel (their samples address pre-optimization LUT
-    /// positions, in stream order), and sample all 64·width lanes.
+    /// positions, in stream order), and sample all 64·width lanes. The
+    /// unobserved paths run the streaming loop built for the best vector
+    /// instruction set the host supports ([`crate::kernel_isa`]); every
+    /// build returns the same words.
+    ///
+    /// A context without primary inputs cannot be streamed (the run is
+    /// counted in input chunks) and returns
+    /// [`SimError::ThroughputNoInputs`].
     pub fn try_run_throughput(
         &mut self,
         context: usize,
@@ -1113,15 +1129,28 @@ impl MultiDevice {
         width: usize,
         threads: usize,
     ) -> Result<Vec<u64>, SimError> {
+        self.run_throughput_at(context, stimulus, width, threads, Isa::host())
+    }
+
+    /// [`MultiDevice::try_run_throughput`] with the streaming loop built for
+    /// `isa`, which the host must support (see [`Isa::supported`]).
+    pub(crate) fn run_throughput_at(
+        &mut self,
+        context: usize,
+        stimulus: &[u64],
+        width: usize,
+        threads: usize,
+        isa: Isa,
+    ) -> Result<Vec<u64>, SimError> {
         self.check_context(context)?;
         if !kernel::SUPPORTED_WIDTHS.contains(&width) {
             return Err(SimError::UnsupportedWidth { width });
         }
         match width {
-            1 => self.run_throughput_inner::<1>(context, stimulus, threads),
-            2 => self.run_throughput_inner::<2>(context, stimulus, threads),
-            4 => self.run_throughput_inner::<4>(context, stimulus, threads),
-            _ => self.run_throughput_inner::<8>(context, stimulus, threads),
+            1 => self.run_throughput_inner::<1>(context, stimulus, threads, isa),
+            2 => self.run_throughput_inner::<2>(context, stimulus, threads, isa),
+            4 => self.run_throughput_inner::<4>(context, stimulus, threads, isa),
+            _ => self.run_throughput_inner::<8>(context, stimulus, threads, isa),
         }
     }
 
@@ -1130,12 +1159,13 @@ impl MultiDevice {
         c: usize,
         stimulus: &[u64],
         threads: usize,
+        isa: Isa,
     ) -> Result<Vec<u64>, SimError> {
         let n_inputs = self.mapped[c].n_inputs;
-        let chunk_words = n_inputs * W;
-        if chunk_words == 0 {
-            return Ok(Vec::new());
+        if n_inputs == 0 {
+            return Err(SimError::ThroughputNoInputs { context: c });
         }
+        let chunk_words = n_inputs * W;
         if !stimulus.len().is_multiple_of(chunk_words) {
             return Err(SimError::ThroughputStimulus {
                 context: c,
@@ -1193,24 +1223,20 @@ impl MultiDevice {
                 let lo = b * block_len;
                 let hi = ((b + 1) * block_len).min(n_chunks);
                 let mut regs = block_regs[b].clone();
-                let mut scratch = KernelScratch::new();
-                let mut step_out = Vec::with_capacity(n_outputs * W);
-                let mut block_out = Vec::with_capacity((hi - lo) * n_outputs * W);
-                for t in lo..hi {
-                    kernel.step_wide::<W>(
-                        &stimulus[t * chunk_words..][..chunk_words],
-                        &mut regs,
-                        &mut scratch,
-                        &mut step_out,
-                    );
-                    block_out.extend_from_slice(&step_out);
-                }
+                let mut block_out = vec![0u64; (hi - lo) * n_outputs * W];
+                kernel.stream_wide::<W>(
+                    isa,
+                    &stimulus[lo * chunk_words..hi * chunk_words],
+                    &mut regs,
+                    &mut KernelScratch::new(),
+                    &mut block_out,
+                );
                 block_out
             });
-            let mut out = Vec::with_capacity(n_chunks * n_outputs * W);
-            for block in blocks {
-                out.extend(block);
-            }
+            blocks.concat()
+        } else if !observed {
+            let mut out = vec![0u64; n_chunks * n_outputs * W];
+            kernel.stream_wide::<W>(isa, stimulus, &mut regs, &mut self.batch_scratch, &mut out);
             out
         } else {
             let mut out = vec![0u64; n_chunks * n_outputs * W];
@@ -1868,6 +1894,92 @@ mod tests {
             .map(|&col| mcfpga_rcm::synthesize(col, dev.ctx).cost().n_ses as u64)
             .sum();
         assert_eq!(ev.arg_u64("se_cost_total"), Some(se));
+    }
+
+    #[test]
+    fn every_isa_level_streams_the_same_words_as_the_portable_loop() {
+        use mcfpga_netlist::{random_netlist, RandomNetlistParams};
+        let params = |dff_fraction| RandomNetlistParams {
+            n_inputs: 6,
+            n_gates: 60,
+            n_outputs: 5,
+            dff_fraction,
+        };
+        // Context 0 is combinational, context 1 sequential.
+        let circuits = vec![
+            random_netlist(params(0.0), 11),
+            random_netlist(params(0.25), 12),
+        ];
+        let mut dev = MultiDevice::compile(&arch(), &circuits).unwrap();
+        let mut rng = StdRng::seed_from_u64(0x15A);
+        let init: Vec<bool> = (0..dev.registers(1).len())
+            .map(|_| rng.gen_bool(0.5))
+            .collect();
+        assert!(!init.is_empty(), "context 1 must be sequential");
+        dev.set_registers(1, &init);
+        let levels = Isa::supported();
+        // An odd chunk count leaves the last of three blocks short.
+        let n_chunks = 13;
+        for optimize in [false, true] {
+            dev.set_kernel_options(KernelOptions::new().with_optimize(optimize));
+            for c in 0..circuits.len() {
+                let n_in = dev.n_inputs(c).unwrap();
+                let kernel = dev.kernel(c).unwrap().clone();
+                for &width in kernel::SUPPORTED_WIDTHS {
+                    let stimulus: Vec<u64> = (0..n_chunks * n_in * width)
+                        .map(|_| rng.next_u64())
+                        .collect();
+                    // The portable loop against one step_wide per chunk.
+                    let portable = dev
+                        .run_throughput_at(c, &stimulus, width, 1, Isa::Portable)
+                        .unwrap();
+                    let mut regs = Vec::new();
+                    kernel::broadcast_wide(dev.registers(c), &mut regs, width);
+                    let mut scratch = KernelScratch::new();
+                    let (mut stepped, mut out) = (Vec::new(), Vec::new());
+                    for chunk in stimulus.chunks_exact(n_in * width) {
+                        match width {
+                            1 => kernel.step_wide::<1>(chunk, &mut regs, &mut scratch, &mut out),
+                            2 => kernel.step_wide::<2>(chunk, &mut regs, &mut scratch, &mut out),
+                            4 => kernel.step_wide::<4>(chunk, &mut regs, &mut scratch, &mut out),
+                            _ => kernel.step_wide::<8>(chunk, &mut regs, &mut scratch, &mut out),
+                        }
+                        stepped.extend_from_slice(&out);
+                    }
+                    assert_eq!(
+                        portable, stepped,
+                        "optimize {optimize} ctx {c} width {width}"
+                    );
+                    for &isa in &levels {
+                        for threads in [1, 3] {
+                            let got = dev
+                                .run_throughput_at(c, &stimulus, width, threads, isa)
+                                .unwrap();
+                            assert_eq!(
+                                got, portable,
+                                "{isa:?} optimize {optimize} ctx {c} width {width} \
+                                 threads {threads}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn throughput_rejects_a_context_without_inputs() {
+        let circuits = vec![library::adder(2), library::lfsr(8, 0x8E)];
+        let mut dev = MultiDevice::compile(&arch(), &circuits).unwrap();
+        assert_eq!(dev.n_inputs(1).unwrap(), 0);
+        for width in [1, 8] {
+            let err = dev.try_run_throughput(1, &[], width, 1).unwrap_err();
+            assert_eq!(err, SimError::ThroughputNoInputs { context: 1 });
+            assert!(err.to_string().contains("no primary inputs"), "{err}");
+        }
+        // The context with inputs still streams.
+        let n_in = dev.n_inputs(0).unwrap();
+        assert!(dev.try_run_throughput(0, &vec![0; n_in], 1, 1).is_ok());
     }
 
     #[test]
