@@ -19,7 +19,6 @@ use mcfpga::netlist::dfg::{generated_family, paper_example};
 use mcfpga::netlist::{library, perturb_netlist, random_netlist, workload, RandomNetlistParams};
 use mcfpga::prelude::*;
 use mcfpga::rcm::synthesize;
-use mcfpga::sim::Device;
 use mcfpga_bench::{header, mixed_contexts, suite};
 
 fn main() {
@@ -112,7 +111,7 @@ fn table1() {
     // The paper's structural-redundancy claim on perturbed workloads.
     println!("\nstructure-preserving workloads (perturbation model, 5% change):");
     let w = workload(RandomNetlistParams::default(), 4, 0.05, 7);
-    let dev = Device::compile(&arch, &w).expect("compile");
+    let dev = MultiDevice::compile_aligned(&arch, &w).expect("compile");
     let r = dev.report();
     println!("  LUT planes/position histogram: {:?}", r.plane_histogram);
     println!(
@@ -338,7 +337,7 @@ fn area45() {
     // Cross-check against a measured compiled design.
     let arch = ArchSpec::paper_default();
     let w = workload(RandomNetlistParams::default(), 4, 0.05, 99);
-    let dev = Device::compile(&arch, &w).expect("compile");
+    let dev = MultiDevice::compile_aligned(&arch, &w).expect("compile");
     let measured = measured_area_comparison(
         &dev,
         Technology::Cmos,
@@ -498,7 +497,7 @@ fn flow() {
     );
     for circuit in suite() {
         let contexts = vec![circuit.clone(); 4];
-        let mut dev = match Device::compile(&arch, &contexts) {
+        let mut dev = match MultiDevice::compile_aligned(&arch, &contexts) {
             Ok(d) => d,
             Err(e) => {
                 println!("{:<12} failed: {e}", circuit.name());
@@ -586,7 +585,8 @@ fn flow() {
     // structure-preserving 5%-change workload — the paper's intended
     // operating regime — is measured alongside so both points are labeled.
     let structured = workload(RandomNetlistParams::default(), 4, 0.05, 99);
-    let structured_dev = Device::compile(&arch, &structured).expect("structured compile");
+    let structured_dev =
+        MultiDevice::compile_aligned(&arch, &structured).expect("structured compile");
     let structured_change =
         ColumnSetStats::measure(&structured_dev.switch_usage().columns(), arch.context_id())
             .change_rate;
@@ -761,8 +761,8 @@ fn fig12_adaptive() {
         library::fir4(4, [1, 2, 1, 0]),
     ] {
         let contexts = vec![circuit.clone(); 4];
-        let adaptive = Device::compile_adaptive(&arch, &contexts).expect("compile");
-        let fixed = Device::compile(&arch, &contexts).expect("compile");
+        let adaptive = MultiDevice::compile_adaptive(&arch, &contexts).expect("compile");
+        let fixed = MultiDevice::compile_aligned(&arch, &contexts).expect("compile");
         println!(
             "{:<26} {:>7} {:>9} {:>9}",
             format!("{} x4 (shared)", circuit.name()),
@@ -783,8 +783,8 @@ fn fig12_adaptive() {
             rate,
             3,
         );
-        let adaptive = Device::compile_adaptive(&arch, &w).expect("compile");
-        let fixed = Device::compile(&arch, &w).expect("compile");
+        let adaptive = MultiDevice::compile_adaptive(&arch, &w).expect("compile");
+        let fixed = MultiDevice::compile_aligned(&arch, &w).expect("compile");
         println!(
             "{:<26} {:>7} {:>9} {:>9}",
             format!("random, {:.0}% change", rate * 100.0),
@@ -857,7 +857,7 @@ fn faults() {
         0.1,
         77,
     );
-    let mut dev = Device::compile(&arch, &w).expect("compile");
+    let mut dev = MultiDevice::compile_aligned(&arch, &w).expect("compile");
     let report = lut_fault_campaign(&mut dev, &w, 60, 150, 42);
     println!(
         "injected {} single-bit LUT upsets, {} detected by randomized",
@@ -869,7 +869,7 @@ fn faults() {
     );
     println!("detection rate: {:.0}%", 100.0 * report.detection_rate());
     println!("\nupsets in RCM decoders or routing state are structural: the");
-    println!("connectivity re-derivation (Device::check_routing) finds them");
+    println!("connectivity re-derivation (MultiDevice::check_routing) finds them");
     println!("without stimulus.");
 }
 
@@ -1179,8 +1179,7 @@ fn sim() {
         0.1,
         77,
     );
-    let mut fault_dev = Device::compile(&arch, &w).expect("compile");
-    fault_dev.attach_recorder(&rec);
+    let mut fault_dev = MultiDevice::compile_aligned(&arch, &w).expect("compile");
     let campaign_start = std::time::Instant::now();
     let campaign = lut_fault_campaign(&mut fault_dev, &w, 60, 150, 42);
     let fault_campaign_ms = campaign_start.elapsed().as_secs_f64() * 1e3;
@@ -2566,12 +2565,12 @@ fn probe() {
     //   device across every pass above (four unrelated circuits, so most
     //   switch columns flip);
     //   5% point — the paper's operating regime: a structure-preserving
-    //   workload compiled as one Device (shared placement/routing), where
+    //   workload compiled as one aligned device (shared placement/routing), where
     //   redundant columns make switches nearly free. Bits flipped per
     //   switch fall straight out of the switch-column patterns.
     let mixed_energy = dev.reconfig_energy();
     let w = workload(RandomNetlistParams::default(), 4, 0.05, 99);
-    let edev = Device::compile(&arch, &w).expect("compile 5% workload");
+    let edev = MultiDevice::compile_aligned(&arch, &w).expect("compile 5% workload");
     let columns = edev.switch_usage().columns();
     let energy_change_rate = ColumnSetStats::measure(&columns, arch.context_id()).change_rate;
     let energy_switches = 64u64;
@@ -2682,7 +2681,7 @@ struct ProbeBench {
     mixed_bits_flipped: u64,
     mixed_energy_pj: f64,
     /// Measured switch-column change rate of the 5% energy workload
-    /// (a structure-preserving Device compile: the paper's regime).
+    /// (a structure-preserving aligned compile: the paper's regime).
     energy_change_rate: f64,
     energy_switches: u64,
     energy_bits_flipped: u64,

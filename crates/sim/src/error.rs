@@ -7,9 +7,130 @@
 //! want to hold *one* error type; [`enum@Error`] wraps all three with
 //! `From` impls so `?` converts freely.
 
-use crate::device::CompileError;
+use mcfpga_arch::{ArchError, ArchSpec};
+use mcfpga_map::MapError;
+use mcfpga_place::PlaceError;
+use mcfpga_route::RouteError;
+
 use crate::equivalence::{EquivalenceCheckError, EquivalenceError};
 use crate::multi::SimError;
+
+/// Compile-flow failure.
+#[derive(Debug)]
+pub enum CompileError {
+    Map(MapError),
+    Place(PlaceError),
+    Route(RouteError),
+    /// The workload needs more planes somewhere than the LUT pool offers.
+    PlaneOverflow {
+        lb: usize,
+        needed: usize,
+        available: usize,
+    },
+    /// Workloads must contain at least one context.
+    EmptyWorkload,
+    /// The architecture failed [`ArchSpec::validate`].
+    InvalidArch(ArchError),
+    /// The workload has more circuits than the device has contexts.
+    TooManyCircuits {
+        circuits: usize,
+        contexts: usize,
+    },
+    /// A cancellation hook (see [`crate::MultiDevice::compile_delta`])
+    /// reported the budget exhausted between per-context compile phases;
+    /// the partial result was discarded.
+    DeadlineExceeded,
+    /// A pre-mapped netlist was mapped at a LUT size other than the
+    /// fabric's `min_inputs` (see [`crate::MultiDevice::compile_mapped`]).
+    MappedGranularity {
+        context: usize,
+        expected: usize,
+        got: usize,
+    },
+    /// [`crate::MultiDevice::compile_delta`] needs one seed per circuit.
+    DeltaSeedCount {
+        seeds: usize,
+        circuits: usize,
+    },
+}
+
+impl std::fmt::Display for CompileError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CompileError::Map(e) => write!(f, "mapping failed: {e}"),
+            CompileError::Place(e) => write!(f, "placement failed: {e}"),
+            CompileError::Route(e) => write!(f, "routing failed: {e}"),
+            CompileError::PlaneOverflow {
+                lb,
+                needed,
+                available,
+            } => write!(
+                f,
+                "logic block {lb} needs {needed} planes but the pool offers {available}"
+            ),
+            CompileError::EmptyWorkload => write!(f, "workload has no contexts"),
+            CompileError::InvalidArch(e) => write!(f, "invalid architecture: {e}"),
+            CompileError::TooManyCircuits { circuits, contexts } => write!(
+                f,
+                "workload has {circuits} circuits but the device has {contexts} contexts"
+            ),
+            CompileError::DeadlineExceeded => {
+                write!(f, "compile cancelled: deadline exceeded between contexts")
+            }
+            CompileError::MappedGranularity {
+                context,
+                expected,
+                got,
+            } => write!(
+                f,
+                "context {context} was mapped at k = {got} but the fabric maps at k = {expected}"
+            ),
+            CompileError::DeltaSeedCount { seeds, circuits } => write!(
+                f,
+                "{seeds} delta seeds for {circuits} circuits (use DeltaSeed::Cold for new slots)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CompileError {}
+
+impl From<ArchError> for CompileError {
+    fn from(e: ArchError) -> Self {
+        CompileError::InvalidArch(e)
+    }
+}
+
+impl From<MapError> for CompileError {
+    fn from(e: MapError) -> Self {
+        CompileError::Map(e)
+    }
+}
+
+impl From<PlaceError> for CompileError {
+    fn from(e: PlaceError) -> Self {
+        CompileError::Place(e)
+    }
+}
+
+impl From<RouteError> for CompileError {
+    fn from(e: RouteError) -> Self {
+        CompileError::Route(e)
+    }
+}
+
+/// Reject an invalid architecture, or a workload of more circuits than it
+/// has contexts, before any compile work starts.
+pub(crate) fn check_workload_fits(arch: &ArchSpec, circuits: usize) -> Result<(), CompileError> {
+    arch.validate()?;
+    if circuits > arch.n_contexts {
+        return Err(CompileError::TooManyCircuits {
+            circuits,
+            contexts: arch.n_contexts,
+        });
+    }
+    Ok(())
+}
 
 /// Any failure the simulator can report: compile, runtime, or equivalence.
 ///

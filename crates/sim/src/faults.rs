@@ -7,7 +7,7 @@
 //!   it manifests only in the contexts mapped to that plane and only for the
 //!   affected input assignment.
 //! * **Routing switches** — a stuck-off switch breaks connectivity in the
-//!   contexts that needed it; [`crate::Device::check_routing`]-style
+//!   contexts that needed it; [`crate::MultiDevice::check_routing`]-style
 //!   re-derivation finds these *structurally*, without stimulus.
 //!
 //! The campaign utilities below quantify detection: how many random upsets
@@ -28,9 +28,8 @@ use mcfpga_netlist::Netlist;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::device::Device;
-use crate::kernel::{extract_lane, KernelScratch, LANES};
-use crate::multi::{effective_workers, fan_out};
+use crate::kernel::{broadcast, extract_lane, KernelScratch, LANES};
+use crate::multi::{effective_workers, fan_out, MultiDevice};
 
 /// One injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +60,7 @@ impl CampaignReport {
     }
 }
 
-impl Device {
+impl MultiDevice {
     /// Inject a LUT-bit upset. Returns the fault record for reporting.
     pub fn inject_lut_fault(&mut self, fault: LutFault) -> LutFault {
         self.lb_mut(fault.lb)
@@ -84,18 +83,31 @@ struct ScheduleStep {
 /// Run a single-fault campaign: inject `n_faults` random LUT upsets one at a
 /// time and test each against the golden netlists with `cycles` word-steps
 /// of randomized stimulus (64 vector streams per word, context switches at
-/// word boundaries) — `cycles * 64` vectors per fault.
+/// word boundaries) — `cycles * 64` vectors per fault. The references keep
+/// register state per bank, as the device does (see
+/// [`crate::check_device_equivalence`]). A design without logic blocks, or
+/// a call without references, has nothing to upset or compare:
+/// `injected` is 0.
 pub fn lut_fault_campaign(
-    device: &mut Device,
+    device: &mut MultiDevice,
     references: &[Netlist],
     n_faults: usize,
     cycles: usize,
     seed: u64,
 ) -> CampaignReport {
+    let mode = match device.lb_mode() {
+        Some(mode) if !references.is_empty() => mode,
+        _ => {
+            return CampaignReport {
+                injected: 0,
+                detected: 0,
+                silent: 0,
+            }
+        }
+    };
     let mut rng = StdRng::seed_from_u64(seed);
     let n_lbs = device.n_lbs();
     let outs = device.arch().lut.outputs;
-    let mode = device.lb_mode();
     let faults: Vec<LutFault> = (0..n_faults)
         .map(|_| LutFault {
             lb: rng.gen_range(0..n_lbs),
@@ -107,7 +119,6 @@ pub fn lut_fault_campaign(
 
     // The shared stimulus schedule: every fault sees the same words, so the
     // fault-free reference outputs are computed exactly once.
-    let n_inputs = references[0].inputs().len();
     let mut sched_rng = StdRng::seed_from_u64(seed ^ 0x05EE_DFA0_7CA3_D1D0_u64);
     let mut context = 0usize;
     let schedule: Vec<ScheduleStep> = (0..cycles)
@@ -115,6 +126,7 @@ pub fn lut_fault_campaign(
             if sched_rng.gen_bool(0.3) {
                 context = sched_rng.gen_range(0..references.len());
             }
+            let n_inputs = references[context].inputs().len();
             ScheduleStep {
                 context,
                 inputs: (0..n_inputs).map(|_| sched_rng.next_u64()).collect(),
@@ -122,17 +134,24 @@ pub fn lut_fault_campaign(
         })
         .collect();
 
-    // Golden output words: each lane is an independent reference replay.
-    let mut ref_states: Vec<_> = (0..LANES).map(|_| references[0].initial_state()).collect();
-    let mut lane_inputs = vec![false; n_inputs];
+    // Golden output words: each lane is an independent reference replay,
+    // with one state per register bank (bank `b` powers up as context `b`).
+    let banks: Vec<usize> = (0..references.len())
+        .map(|c| device.register_bank(c))
+        .collect();
+    let mut ref_states: Vec<Vec<_>> = (0..LANES)
+        .map(|_| references.iter().map(|r| r.initial_state()).collect())
+        .collect();
+    let mut lane_inputs = Vec::new();
     let expected: Vec<Vec<u64>> = schedule
         .iter()
         .map(|step| {
             let mut words: Vec<u64> = Vec::new();
-            for (lane, state) in ref_states.iter_mut().enumerate() {
+            lane_inputs.resize(step.inputs.len(), false);
+            for (lane, states) in ref_states.iter_mut().enumerate() {
                 extract_lane(&step.inputs, lane, &mut lane_inputs);
                 let out = references[step.context]
-                    .step(&lane_inputs, state)
+                    .step(&lane_inputs, &mut states[banks[step.context]])
                     .expect("reference evaluation");
                 if lane == 0 {
                     words = vec![0u64; out.len()];
@@ -146,21 +165,19 @@ pub fn lut_fault_campaign(
         .collect();
 
     // Healthy per-context kernels and the lane-broadcast initial registers;
-    // each fault flips its folded table bits on a clone.
+    // each fault flips its folded table bits on a clone. Fault sites
+    // address pre-optimization LUT positions, so the kernels are the direct
+    // lowering, never the optimized stream.
     device.reset();
-    let kernels = device.compiled_kernels();
-    // Fault sites address pre-optimization LUT positions; the optimizer
-    // renumbers, merges, and deletes instructions, so the campaign is only
-    // meaningful on the direct lowering. `compiled_kernels` guarantees that
-    // by construction — this assert pins the contract.
-    assert!(
-        kernels.iter().all(|k| !k.optimized()),
-        "fault campaign requires unoptimized kernels"
-    );
-    let init_regs: Vec<u64> = device
-        .registers()
-        .iter()
-        .map(|&b| if b { !0u64 } else { 0 })
+    let kernels: Vec<_> = (0..device.n_contexts())
+        .map(|c| device.build_kernel(c))
+        .collect();
+    let init_regs: Vec<Vec<u64>> = (0..references.len())
+        .map(|b| {
+            let mut words = Vec::new();
+            broadcast(device.registers(b), &mut words);
+            words
+        })
         .collect();
     let fault_sites: Vec<Vec<(usize, usize)>> = faults
         .iter()
@@ -176,7 +193,8 @@ pub fn lut_fault_campaign(
         let mut scratch = KernelScratch::new();
         let mut out: Vec<u64> = Vec::new();
         for (step, want) in schedule.iter().zip(&expected) {
-            kernels[step.context].step(&step.inputs, &mut regs, &mut scratch, &mut out);
+            let regs = &mut regs[banks[step.context]];
+            kernels[step.context].step(&step.inputs, regs, &mut scratch, &mut out);
             if out != *want {
                 return true;
             }
@@ -205,7 +223,7 @@ mod tests {
     #[test]
     fn injected_fault_on_used_plane_is_detected() {
         let circuits = vec![library::parity(8); 4];
-        let mut dev = Device::compile(&arch(), &circuits).unwrap();
+        let mut dev = MultiDevice::compile_aligned(&arch(), &circuits).unwrap();
         // The parity tree's LUTs are all on plane 0 (fully shared) and
         // every assignment of a XOR table matters: any flip must be caught.
         let fault = LutFault {
@@ -238,7 +256,7 @@ mod tests {
             0.1,
             77,
         );
-        let mut dev = Device::compile(&arch(), &w).unwrap();
+        let mut dev = MultiDevice::compile_aligned(&arch(), &w).unwrap();
         let report = lut_fault_campaign(&mut dev, &w, 30, 120, 13);
         assert_eq!(report.injected, 30);
         assert_eq!(report.detected + report.silent, 30);
@@ -270,13 +288,13 @@ mod tests {
             0.1,
             21,
         );
-        let mut dev = Device::compile(&arch(), &w).unwrap();
+        let mut dev = MultiDevice::compile_aligned(&arch(), &w).unwrap();
         let report = lut_fault_campaign(&mut dev, &w, 12, 60, 7);
         // Re-derive the same fault list the campaign sampled.
         let mut rng = StdRng::seed_from_u64(7);
         let n_lbs = dev.n_lbs();
         let outs = dev.arch().lut.outputs;
-        let mode = dev.lb_mode();
+        let mode = dev.lb_mode().unwrap();
         let mut scalar_detected = 0usize;
         for _ in 0..12 {
             let fault = LutFault {
@@ -307,7 +325,7 @@ mod tests {
         // Fully shared workload: only plane 0 is ever selected; upsets on
         // plane 3 can never be observed.
         let circuits = vec![library::adder(4); 4];
-        let mut dev = Device::compile(&arch(), &circuits).unwrap();
+        let mut dev = MultiDevice::compile_aligned(&arch(), &circuits).unwrap();
         let fault = LutFault {
             lb: 0,
             output: 0,
@@ -317,5 +335,38 @@ mod tests {
         dev.inject_lut_fault(fault);
         check_device_equivalence(&mut dev, &circuits, 150, 3)
             .expect("dormant-plane fault must stay silent");
+    }
+
+    #[test]
+    fn campaign_without_blocks_or_references_injects_nothing() {
+        let mut wire = Netlist::new("wire");
+        let a = wire.input("a");
+        wire.output("y", a);
+        let circuits = vec![wire; 2];
+        let mut dev = MultiDevice::compile_aligned(&arch(), &circuits).unwrap();
+        assert_eq!(dev.n_lbs(), 0);
+        let none = CampaignReport {
+            injected: 0,
+            detected: 0,
+            silent: 0,
+        };
+        assert_eq!(lut_fault_campaign(&mut dev, &circuits, 10, 20, 1), none);
+        let adders = vec![library::adder(4); 4];
+        let mut dev = MultiDevice::compile_aligned(&arch(), &adders).unwrap();
+        assert_eq!(lut_fault_campaign(&mut dev, &[], 10, 20, 1), none);
+        assert_eq!(none.detection_rate(), 0.0);
+    }
+
+    #[test]
+    fn campaign_runs_on_a_heterogeneous_device() {
+        let circuits = vec![library::counter(4), library::parity(8)];
+        let mut dev = MultiDevice::compile(&arch(), &circuits).unwrap();
+        let report = lut_fault_campaign(&mut dev, &circuits, 24, 60, 3);
+        assert_eq!(report.injected, 24);
+        assert_eq!(report.detected + report.silent, 24);
+        // A healthy replay that diverged from its references (say, with
+        // one register file for both circuits) would flag every upset.
+        assert!(report.detected > 0, "some upset must land in live logic");
+        assert!(report.silent > 0, "some upset must land on a dormant plane");
     }
 }

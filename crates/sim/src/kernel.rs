@@ -1,9 +1,9 @@
 //! The compiled, bit-parallel simulation kernel: 64·W stimulus vectors per
 //! chunk of W machine words through the fabric model.
 //!
-//! The scalar paths ([`crate::Device::step`] / [`crate::MultiDevice::step`])
-//! interpret the mapped netlist one bit at a time, resolving every LUT's
-//! plane through the size-controller decoders on every cycle. Everything the
+//! The scalar path ([`crate::MultiDevice::step`]) interprets the mapped
+//! netlist one bit at a time, resolving every LUT's plane through the
+//! size-controller decoders on every cycle. Everything the
 //! reproduction claims about functional correctness and fault coverage
 //! multiplies thousands of cycles by that cost, so simulation throughput is
 //! the binding constraint on how hard the architecture can be stressed.
@@ -54,8 +54,8 @@
 //! folding, dead-code and duplicate elimination. Optimization never changes
 //! any lane of any output or register; it only changes the instruction
 //! stream, which is why observability consumers that address LUT positions
-//! (probes, activity census, fault campaigns, `Device` toggle counting)
-//! always run on the unoptimized stream.
+//! (probes, the activity census, fault campaigns) always run on the
+//! unoptimized stream.
 //!
 //! Lane semantics: lane `l` of every input, register, and output chunk is
 //! one complete, independent stimulus stream (chunk word `l / 64`, bit
@@ -66,7 +66,7 @@
 //!
 //! Kernels are *configuration snapshots*: they must be rebuilt whenever LUT
 //! memory mutates (fault injection via `flip_lut_bit`, reprogramming). The
-//! devices cache kernels per context against a configuration epoch; the
+//! device caches kernels per context against a configuration epoch; the
 //! fault campaign instead clones a healthy kernel and flips the folded table
 //! bit directly (`CompiledKernel::flip_table_bit`), which is equivalent
 //! and keeps the campaign embarrassingly parallel.

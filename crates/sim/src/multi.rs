@@ -1,31 +1,42 @@
 #![allow(clippy::needless_range_loop)]
-//! The heterogeneous multi-context device: one *independent* circuit per
-//! context, time-multiplexed on one fabric — the paper's motivating DPGA
-//! use case ("sequentially configured as different processors in real
-//! time").
+//! The compiled multi-context device: one fabric runtime for the two kinds
+//! of workload the paper's MC-FPGA runs.
 //!
-//! Unlike [`crate::Device`] (structurally aligned workloads with plane
-//! sharing), each context here is mapped, placed and routed on its own; the
-//! physical logic blocks then collect, per site, the truth tables each
-//! context put there, and plane grouping happens per site across contexts.
-//! Routing switches genuinely differ between contexts, so the extracted
-//! configuration columns exhibit the real mixed statistics of Table 1.
+//! * **Aligned** ([`MultiDevice::compile_aligned`],
+//!   [`MultiDevice::compile_adaptive`]): one netlist per context, all
+//!   sharing one structure (Figs. 12–14). The workload is mapped with one
+//!   shared cover, placed and routed once, and every context reads and
+//!   writes one register file, so state survives context switches.
+//! * **Heterogeneous** ([`MultiDevice::compile`] and its variants): one
+//!   independent circuit per context, time-multiplexed on one fabric — the
+//!   paper's motivating DPGA use case ("sequentially configured as
+//!   different processors in real time"). Each context is mapped, placed
+//!   and routed on its own and owns its register file. Routing switches
+//!   genuinely differ between contexts, so the extracted configuration
+//!   columns exhibit the real mixed statistics of Table 1.
+//!
+//! Both flows end in the same assembly: the physical logic blocks collect,
+//! per site, the truth tables each context put there, and contexts that
+//! agree on all of a block's tables share one plane.
+
+use std::collections::HashMap;
 
 use mcfpga_arch::{ArchSpec, ContextId, LutMode};
-use mcfpga_config::Bitstream;
+use mcfpga_config::{Bitstream, ColumnSetStats};
 use mcfpga_lut::{AdaptiveLogicBlock, LocalSizeController, SizeControl, TruthTable};
-use mcfpga_map::{map_netlist, MappedNetlist, MappedSource};
+use mcfpga_map::{map_netlist, map_workload, MappedNetlist, MappedSource};
 use mcfpga_netlist::Netlist;
 use mcfpga_obs::Recorder;
 use mcfpga_place::{
-    lb_of_lut, place_delta, place_with, AnnealOptions, Placement, PlacementProblem,
+    lb_of_lut, place, place_delta, place_with, AnnealOptions, Placement, PlacementProblem,
 };
 use mcfpga_route::{
-    nets_from_placement, route_context_delta, route_context_with, switch_columns, RouteOptions,
-    RoutedContext, RoutingGraph, SwitchUsage,
+    nets_from_placement, route_context, route_context_delta, route_context_with, switch_columns,
+    RouteOptions, RoutedContext, RoutingGraph, SwitchUsage,
 };
 
-use crate::device::{check_workload_fits, CompileError};
+use crate::error::{check_workload_fits, CompileError};
+use crate::faults::LutFault;
 use crate::kernel::{self, CompiledKernel, Isa, KernelScratch, LANES};
 use crate::observe::{
     self, ActivityCensus, ActivityReport, ContextProbes, ProbeCapture, ProbeSet, ReconfigEnergy,
@@ -246,6 +257,22 @@ pub(crate) fn fan_out<T: Send>(
         .collect()
 }
 
+/// Run the per-context compile `f(worker, context)` for every context:
+/// fanned across `workers` threads, or on one thread stopping at the first
+/// failing context instead of computing the rest. Results come back in
+/// context order, and both paths report the same first in-order error.
+fn compile_contexts<T: Send>(
+    n: usize,
+    workers: usize,
+    f: impl Fn(usize, usize) -> Result<T, CompileError> + Sync,
+) -> Result<Vec<T>, CompileError> {
+    if workers > 1 {
+        fan_out(n, workers, f).into_iter().collect()
+    } else {
+        (0..n).map(|c| f(0, c)).collect()
+    }
+}
+
 /// One context's intermediate compile products, retained from a finished
 /// compile so a later [`MultiDevice::compile_delta`] can reuse them. Opaque
 /// outside this crate: callers obtain them from
@@ -334,7 +361,101 @@ impl ReconfigMeta {
     }
 }
 
-/// A compiled heterogeneous device.
+/// Build the physical logic blocks of a design. LUT position `i` of
+/// context `c` lands in the block keyed `block_of(c, i)` — a grid site, or
+/// before placement the position's block index — at output slot
+/// `i % outputs`. Blocks are numbered densely in first-use order. Within a
+/// block, device contexts that put the same tables into its slots share one
+/// plane (contexts beyond the programmed ones hold all-zero tables), and a
+/// block needing more planes than the pool offers at the design's LUT size
+/// is a [`CompileError::PlaneOverflow`]. Returns the blocks and, per
+/// context, each LUT position's (block, slot).
+#[allow(clippy::type_complexity)]
+fn group_logic_blocks(
+    arch: &ArchSpec,
+    mapped: &[MappedNetlist],
+    block_of: impl Fn(usize, usize) -> usize,
+) -> Result<(Vec<AdaptiveLogicBlock>, Vec<Vec<(usize, usize)>>), CompileError> {
+    let (n_contexts, outs, k) = (arch.n_contexts, arch.lut.outputs, mapped[0].k);
+    let mode = LutMode {
+        inputs: k,
+        planes: 1 << (arch.lut.max_inputs - k),
+    };
+    let mut dense: HashMap<usize, usize> = HashMap::new();
+    // `[block][context][slot]` truth tables.
+    let mut tables: Vec<Vec<Vec<u64>>> = Vec::new();
+    let mut slot_of = Vec::with_capacity(mapped.len());
+    for (c, m) in mapped.iter().enumerate() {
+        let mut slots = Vec::with_capacity(m.luts.len());
+        for (i, lut) in m.luts.iter().enumerate() {
+            let next = tables.len();
+            let lb = *dense.entry(block_of(c, i)).or_insert(next);
+            if lb == next {
+                tables.push(vec![vec![0; outs]; n_contexts]);
+            }
+            tables[lb][c][i % outs] = lut.table;
+            slots.push((lb, i % outs));
+        }
+        slot_of.push(slots);
+    }
+    let mut lbs = Vec::with_capacity(tables.len());
+    for (lb, tables) in tables.iter().enumerate() {
+        // Group contexts by their table tuple, in first-appearance order.
+        let mut groups: Vec<(&[u64], Vec<usize>)> = Vec::new();
+        for (c, key) in tables.iter().enumerate() {
+            match groups.iter_mut().find(|(k2, _)| *k2 == key.as_slice()) {
+                Some((_, cs)) => cs.push(c),
+                None => groups.push((key, vec![c])),
+            }
+        }
+        if groups.len() > mode.planes {
+            return Err(CompileError::PlaneOverflow {
+                lb,
+                needed: groups.len(),
+                available: mode.planes,
+            });
+        }
+        let mut plane_of_context = vec![0usize; n_contexts];
+        for (p, (_, cs)) in groups.iter().enumerate() {
+            for &c in cs {
+                plane_of_context[c] = p;
+            }
+        }
+        let controller = LocalSizeController::new(arch.context_id(), &plane_of_context, mode);
+        let mut block = AdaptiveLogicBlock::new(arch.lut, mode, SizeControl::Local(controller))
+            .expect("mode fits geometry");
+        for (p, (key, _)) in groups.iter().enumerate() {
+            for (slot, &table) in key.iter().enumerate() {
+                block.program(slot, p, &TruthTable::from_packed(k, table));
+            }
+        }
+        lbs.push(block);
+    }
+    Ok((lbs, slot_of))
+}
+
+/// Summary statistics of a compiled device, consumed by the experiments.
+#[derive(Debug, Clone)]
+pub struct CompileReport {
+    /// The LUT input count the workload was mapped at (Fig. 12 mode).
+    pub granularity: usize,
+    /// Physical LUT slots in use (LUT positions of an aligned design).
+    pub n_luts: usize,
+    pub n_lbs: usize,
+    /// Mean distinct truth tables the device contexts put into one used
+    /// LUT slot: the planes it needs.
+    pub mean_planes: f64,
+    /// `plane_histogram[p - 1]` = used LUT slots needing `p` planes.
+    pub plane_histogram: Vec<usize>,
+    pub controller_ses: usize,
+    pub switch_stats: ColumnSetStats,
+    /// PathFinder iterations of the slowest-converging context.
+    pub routing_iterations: usize,
+    pub critical_delay: f64,
+}
+
+/// A compiled multi-context device (see the module docs for its two
+/// compile flows).
 pub struct MultiDevice {
     arch: ArchSpec,
     ctx: ContextId,
@@ -344,28 +465,35 @@ pub struct MultiDevice {
     routed: Vec<RoutedContext>,
     graph: RoutingGraph,
     usage: SwitchUsage,
-    /// Physical logic blocks, indexed by grid site (row-major over the
-    /// full placement grid).
-    lbs: Vec<Option<AdaptiveLogicBlock>>,
-    /// Per context: LUT position -> (site index, output slot).
-    site_of: Vec<Vec<(usize, usize)>>,
-    /// Per-context register state (independent circuits, independent state).
+    /// Physical logic blocks, numbered densely in first-use order (context
+    /// by context, LUT position by LUT position) — the numbering
+    /// [`LutFault::lb`] addresses.
+    lbs: Vec<AdaptiveLogicBlock>,
+    /// Per context: LUT position -> (logic block, output slot).
+    slot_of: Vec<Vec<(usize, usize)>>,
+    /// The register-bank rule, fixed by the compile flow: aligned contexts
+    /// share one register file (bank 0), heterogeneous context `c` owns
+    /// bank `c`.
+    shared_registers: bool,
+    /// Per-bank register state.
     states: Vec<Vec<bool>>,
     active: usize,
-    /// Per-context compiled bit-parallel kernels, built on first batched
-    /// use. Configuration is immutable after compile, so a cached kernel
-    /// only invalidates when the wanted *variant* changes: optimized when
-    /// [`KernelOptions::optimize`] is set and no observability consumer is
-    /// armed, unoptimized otherwise (probes, census, and fault campaigns
-    /// address pre-optimization LUT positions).
-    kernels: Vec<Option<CompiledKernel>>,
+    /// Per-context compiled bit-parallel kernels, tagged with the
+    /// configuration epoch they snapshot and built on first batched use. A
+    /// cached kernel is stale when the epoch moved (fault injection) or the
+    /// wanted variant changed: optimized when [`KernelOptions::optimize`] is
+    /// set and no observability consumer is armed, unoptimized otherwise
+    /// (probes and the census address pre-optimization LUT positions).
+    kernels: Vec<Option<(u64, CompiledKernel)>>,
+    /// Bumped on every configuration mutation, so cached kernels invalidate.
+    config_epoch: u64,
     /// Kernel lowering knobs from the compile options (mutable afterwards
     /// via [`MultiDevice::set_kernel_options`]).
     kernel_options: KernelOptions,
-    /// Per-context lane-parallel register words; valid only while the
+    /// Per-bank lane-parallel register words; valid only while the
     /// matching `batch_synced` flag holds.
     batch_regs: Vec<Vec<u64>>,
-    /// Per context: false whenever the scalar state moved since the last
+    /// Per bank: false whenever the scalar state moved since the last
     /// batched step, forcing a re-broadcast on the next one.
     batch_synced: Vec<bool>,
     batch_scratch: KernelScratch,
@@ -464,6 +592,13 @@ impl MultiDevice {
         }
         check_workload_fits(arch, circuits.len())?;
         let k = arch.lut.min_inputs;
+        if let Some((context, m)) = circuits.iter().enumerate().find(|(_, m)| m.k != k) {
+            return Err(CompileError::MappedGranularity {
+                context,
+                expected: k,
+                got: m.k,
+            });
+        }
 
         // Per-context flows: each context is placed (with its own derived
         // seed) and routed independently on the shared immutable graph, so
@@ -472,9 +607,6 @@ impl MultiDevice {
         // making the parallel device bit-for-bit identical to the serial one
         // (including which error is reported: the first failing context).
         let graph = RoutingGraph::build(arch);
-        for m in circuits {
-            assert_eq!(m.k, k, "pre-mapped netlists must use the fabric's k");
-        }
         let per_context =
             |worker: usize,
              c: usize|
@@ -498,38 +630,25 @@ impl MultiDevice {
                 let r = route_context_with(&graph, &nets, &opts.route, rec)?.require_converged()?;
                 Ok((problem, placement, r))
             };
-        let mapped: Vec<MappedNetlist> = circuits.to_vec();
+        let workers = opts.resolved_workers(circuits.len());
+        rec.set_gauge("flow.parallelism", workers as f64);
         let mut problems = Vec::with_capacity(circuits.len());
         let mut placements = Vec::with_capacity(circuits.len());
         let mut routed = Vec::with_capacity(circuits.len());
-        let workers = opts.resolved_workers(circuits.len());
-        rec.set_gauge("flow.parallelism", workers as f64);
-        if workers > 1 {
-            for result in fan_out(circuits.len(), workers, per_context) {
-                let (problem, placement, r) = result?;
-                problems.push(problem);
-                placements.push(placement);
-                routed.push(r);
-            }
-        } else {
-            // Plain serial loop: stop at the first failing context instead
-            // of computing the rest (the parallel path reports the same
-            // first-in-order error, it just can't avoid the extra work).
-            for c in 0..circuits.len() {
-                let (problem, placement, r) = per_context(0, c)?;
-                problems.push(problem);
-                placements.push(placement);
-                routed.push(r);
-            }
+        for (problem, placement, r) in compile_contexts(circuits.len(), workers, per_context)? {
+            problems.push(problem);
+            placements.push(placement);
+            routed.push(r);
         }
         Self::assemble(
             arch,
             graph,
-            mapped,
+            circuits.to_vec(),
             problems,
             placements,
             routed,
             opts.kernel,
+            false,
             rec,
         )
     }
@@ -566,11 +685,12 @@ impl MultiDevice {
         if circuits.is_empty() {
             return Err(CompileError::EmptyWorkload);
         }
-        assert_eq!(
-            seeds.len(),
-            circuits.len(),
-            "one DeltaSeed per circuit (use DeltaSeed::Cold for new slots)"
-        );
+        if seeds.len() != circuits.len() {
+            return Err(CompileError::DeltaSeedCount {
+                seeds: seeds.len(),
+                circuits: circuits.len(),
+            });
+        }
         check_workload_fits(arch, circuits.len())?;
         let k = arch.lut.min_inputs;
         let graph = RoutingGraph::build(arch);
@@ -647,7 +767,7 @@ impl MultiDevice {
         };
         let workers = opts.resolved_workers(circuits.len());
         rec.set_gauge("flow.parallelism", workers as f64);
-        let mut merge = |out: CtxOut| {
+        for out in compile_contexts(circuits.len(), workers, per_context)? {
             stats.contexts_reused += out.context_reused as usize;
             if !out.context_reused {
                 stats.placements_reused += out.placement_reused as usize;
@@ -657,15 +777,6 @@ impl MultiDevice {
             problems.push(out.problem);
             placements.push(out.placement);
             routed.push(out.routed);
-        };
-        if workers > 1 {
-            for result in fan_out(circuits.len(), workers, per_context) {
-                merge(result?);
-            }
-        } else {
-            for c in 0..circuits.len() {
-                merge(per_context(0, c)?);
-            }
         }
         // Last budget check before the (serial) assembly tail.
         if expired() {
@@ -679,6 +790,7 @@ impl MultiDevice {
             placements,
             routed,
             opts.kernel,
+            false,
             rec,
         )?;
         Ok((device, stats))
@@ -698,11 +810,83 @@ impl MultiDevice {
             .collect()
     }
 
-    /// Shared assembly tail of [`MultiDevice::compile_mapped_opts`] and
-    /// [`MultiDevice::compile_delta`]: pad unprogrammed contexts, extract
-    /// switch columns, group per-site truth tables into LUT planes, and
-    /// build the device. Deterministic in its inputs, so the two compile
-    /// paths produce identical devices from identical per-context results.
+    /// Compile an aligned workload (one netlist per context, all sharing
+    /// one structure) at the fabric's smallest LUT size, so every logic
+    /// block gets the full plane count.
+    pub fn compile_aligned(
+        arch: &ArchSpec,
+        workload: &[Netlist],
+    ) -> Result<MultiDevice, CompileError> {
+        Self::compile_aligned_at(arch, workload, arch.lut.min_inputs)
+    }
+
+    /// Adaptive granularity (the Fig. 12 trade, made automatically): try
+    /// the *largest* LUT size first — fewer, bigger LUTs but fewer planes —
+    /// and fall back towards `min_inputs` until every logic block's plane
+    /// demand fits the pool. Workloads whose contexts share heavily compile
+    /// at large `k`; divergent workloads need the full plane count and land
+    /// at `min_inputs`. An overflowing size is rejected before it is placed
+    /// and routed.
+    pub fn compile_adaptive(
+        arch: &ArchSpec,
+        workload: &[Netlist],
+    ) -> Result<MultiDevice, CompileError> {
+        let mut last_err = None;
+        for k in (arch.lut.min_inputs..=arch.lut.max_inputs).rev() {
+            match Self::compile_aligned_at(arch, workload, k) {
+                Ok(dev) => return Ok(dev),
+                Err(e @ CompileError::PlaneOverflow { .. }) => last_err = Some(e),
+                Err(other) => return Err(other),
+            }
+        }
+        Err(last_err.expect("min_inputs attempt ran"))
+    }
+
+    /// The aligned flow at LUT size `k` (`min_inputs ..= max_inputs`; the
+    /// plane budget is what the pool leaves, `2^(max_inputs - k)`): pad the
+    /// workload by repeating its last netlist, map every context with one
+    /// shared cover, check the plane demand, then place and route once and
+    /// give every context the same routes.
+    fn compile_aligned_at(
+        arch: &ArchSpec,
+        workload: &[Netlist],
+        k: usize,
+    ) -> Result<MultiDevice, CompileError> {
+        if workload.is_empty() {
+            return Err(CompileError::EmptyWorkload);
+        }
+        check_workload_fits(arch, workload.len())?;
+        let mut contexts = workload.to_vec();
+        while contexts.len() < arch.n_contexts {
+            contexts.push(workload[workload.len() - 1].clone());
+        }
+        let mapped = map_workload(&contexts, k)?;
+        let outs = arch.lut.outputs;
+        group_logic_blocks(arch, &mapped, |_, i| lb_of_lut(i, outs))?;
+        let problem = PlacementProblem::from_mapped(&mapped[0], arch)?;
+        let placement = place(&problem, &AnnealOptions::default());
+        let graph = RoutingGraph::build(arch);
+        let nets = nets_from_placement(&problem, &placement);
+        let routed = route_context(&graph, &nets, &RouteOptions::default())?.require_converged()?;
+        let n = mapped.len();
+        Self::assemble(
+            arch,
+            graph,
+            mapped,
+            vec![problem; n],
+            vec![placement; n],
+            vec![routed; n],
+            KernelOptions::default(),
+            true,
+            &Recorder::disabled(),
+        )
+    }
+
+    /// Shared assembly tail of every compile flow: pad unprogrammed
+    /// contexts, extract switch columns, group per-site truth tables into
+    /// LUT planes, and build the device. Deterministic in its inputs, so
+    /// the cold and delta paths produce identical devices from identical
+    /// per-context results.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         arch: &ArchSpec,
@@ -712,20 +896,13 @@ impl MultiDevice {
         placements: Vec<Placement>,
         routed: Vec<RoutedContext>,
         kernel_options: KernelOptions,
+        shared_registers: bool,
         rec: &Recorder,
     ) -> Result<MultiDevice, CompileError> {
-        let ctx = arch.context_id();
-        let n_contexts = arch.n_contexts;
-        let k = arch.lut.min_inputs;
-        let outs = arch.lut.outputs;
-        let p_max = arch.lut.max_planes();
-        let mode = LutMode {
-            inputs: k,
-            planes: p_max,
-        };
         // Pad unused contexts with empty routing so columns cover every
         // device context.
-        let empty = RoutedContext {
+        let mut all_routes = routed.clone();
+        all_routes.resize_with(arch.n_contexts, || RoutedContext {
             nets: vec![],
             trees: vec![],
             delays: vec![],
@@ -734,82 +911,28 @@ impl MultiDevice {
             overused_edges: 0,
             edge_occupancy: vec![],
             edge_history: vec![],
-        };
-        let mut all_routes = routed.clone();
-        while all_routes.len() < n_contexts {
-            all_routes.push(empty.clone());
-        }
+        });
         let usage = {
             let _span = rec.span("columns");
             switch_columns(&graph, &all_routes)
         };
-
-        // Physical logic blocks: per site, collect each context's tables.
-        let _lb_span = rec.span("logic_blocks");
-        let n_sites = graph.grid.full.n_cells();
-        let mut site_tables: Vec<Vec<Vec<u64>>> = vec![vec![vec![0u64; outs]; n_contexts]; n_sites];
-        let mut site_used = vec![false; n_sites];
-        let mut site_of: Vec<Vec<(usize, usize)>> = Vec::new();
-        for (c, m) in mapped.iter().enumerate() {
-            let mut this_ctx = Vec::with_capacity(m.luts.len());
-            for (i, lut) in m.luts.iter().enumerate() {
-                let lb = lb_of_lut(i, outs);
-                let site = graph.grid.full.index(placements[c].position[lb]);
-                let slot = i % outs;
-                site_tables[site][c][slot] = lut.table;
-                site_used[site] = true;
-                this_ctx.push((site, slot));
-            }
-            site_of.push(this_ctx);
-        }
-        let mut lbs: Vec<Option<AdaptiveLogicBlock>> = Vec::with_capacity(n_sites);
-        for site in 0..n_sites {
-            if !site_used[site] {
-                lbs.push(None);
-                continue;
-            }
-            // Group contexts by their table tuple at this site. Device
-            // contexts beyond the programmed circuits stay all-zero and
-            // collapse into one plane.
-            let mut groups: Vec<(Vec<u64>, Vec<usize>)> = Vec::new();
-            for c in 0..n_contexts {
-                let key = site_tables[site][c].clone();
-                match groups.iter_mut().find(|(k2, _)| *k2 == key) {
-                    Some((_, cs)) => cs.push(c),
-                    None => groups.push((key, vec![c])),
-                }
-            }
-            if groups.len() > p_max {
-                return Err(CompileError::PlaneOverflow {
-                    lb: site,
-                    needed: groups.len(),
-                    available: p_max,
-                });
-            }
-            let mut plane_of_context = vec![0usize; n_contexts];
-            for (p, (_, cs)) in groups.iter().enumerate() {
-                for &c in cs {
-                    plane_of_context[c] = p;
-                }
-            }
-            let controller = LocalSizeController::new(ctx, &plane_of_context, mode);
-            let mut lb = AdaptiveLogicBlock::new(arch.lut, mode, SizeControl::Local(controller))
-                .expect("mode fits geometry");
-            for (p, (key, _)) in groups.iter().enumerate() {
-                for (slot, &table) in key.iter().enumerate() {
-                    lb.program(slot, p, &TruthTable::from_packed(mode.inputs, table));
-                }
-            }
-            lbs.push(Some(lb));
-        }
-
-        drop(_lb_span);
-
-        let states: Vec<Vec<bool>> = mapped.iter().map(|m| m.initial_state().bits).collect();
+        let (lbs, slot_of) = {
+            let _span = rec.span("logic_blocks");
+            let outs = arch.lut.outputs;
+            let grid = &graph.grid.full;
+            group_logic_blocks(arch, &mapped, |c, i| {
+                grid.index(placements[c].position[lb_of_lut(i, outs)])
+            })?
+        };
         let n_programmed = mapped.len();
+        let n_banks = if shared_registers { 1 } else { n_programmed };
+        let states = mapped[..n_banks]
+            .iter()
+            .map(|m| m.initial_state().bits)
+            .collect();
         Ok(MultiDevice {
             arch: arch.clone(),
-            ctx,
+            ctx: arch.context_id(),
             mapped,
             problems,
             placements,
@@ -817,13 +940,15 @@ impl MultiDevice {
             graph,
             usage,
             lbs,
-            site_of,
+            slot_of,
+            shared_registers,
             states,
             active: 0,
             kernels: vec![None; n_programmed],
+            config_epoch: 0,
             kernel_options,
-            batch_regs: vec![Vec::new(); n_programmed],
-            batch_synced: vec![false; n_programmed],
+            batch_regs: vec![Vec::new(); n_banks],
+            batch_synced: vec![false; n_banks],
             batch_scratch: KernelScratch::new(),
             scratch_lut_vals: Vec::new(),
             scratch_in_bits: Vec::new(),
@@ -839,11 +964,6 @@ impl MultiDevice {
 
     pub fn arch(&self) -> &ArchSpec {
         &self.arch
-    }
-
-    /// Number of programmed contexts.
-    pub fn n_circuits(&self) -> usize {
-        self.mapped.len()
     }
 
     pub fn active_context(&self) -> usize {
@@ -863,12 +983,7 @@ impl MultiDevice {
 
     /// Switch the active context, reporting an unprogrammed context in-band.
     pub fn try_switch_context(&mut self, context: usize) -> Result<(), SimError> {
-        if context >= self.mapped.len() {
-            return Err(SimError::ContextNotProgrammed {
-                context,
-                programmed: self.mapped.len(),
-            });
-        }
+        self.check_context(context)?;
         if context != self.active {
             self.recorder.incr("sim.context_switches", 1);
             // Energy accounting needs the per-context switch bitstreams;
@@ -942,6 +1057,9 @@ impl MultiDevice {
         }
         self.recorder.incr("sim.steps", 1);
         self.recorder.incr("sim.cycles", 1);
+        let bank = self.register_bank(c);
+        // Evaluate LUT positions in topological (emission) order, pulling
+        // each value through the physical logic block hardware model.
         // Persistent scratch: the only allocation left is the returned
         // output vector.
         let n_luts = self.mapped[c].luts.len();
@@ -955,17 +1073,16 @@ impl MultiDevice {
                 self.mapped[c].luts[i]
                     .inputs
                     .iter()
-                    .map(|s| self.resolve(c, *s, inputs, &lut_vals)),
+                    .map(|s| self.resolve(bank, *s, inputs, &lut_vals)),
             );
-            let (site, slot) = self.site_of[c][i];
-            let lb = self.lbs[site].as_ref().expect("used site has an LB");
-            lut_vals[i] = lb.output(self.ctx, c, &in_bits, slot);
+            let (lb, slot) = self.slot_of[c][i];
+            lut_vals[i] = self.lbs[lb].output(self.ctx, c, &in_bits, slot);
         }
         let m = &self.mapped[c];
         let outs: Vec<bool> = m
             .outputs
             .iter()
-            .map(|(_, s)| self.resolve(c, *s, inputs, &lut_vals))
+            .map(|(_, s)| self.resolve(bank, *s, inputs, &lut_vals))
             .collect();
         let mut next = std::mem::take(&mut self.scratch_next);
         next.clear();
@@ -973,13 +1090,16 @@ impl MultiDevice {
             self.mapped[c]
                 .dffs
                 .iter()
-                .map(|d| self.resolve(c, d.d, inputs, &lut_vals)),
+                .map(|d| self.resolve(bank, d.d, inputs, &lut_vals)),
         );
-        std::mem::swap(&mut self.states[c], &mut next);
+        std::mem::swap(&mut self.states[bank], &mut next);
+        if let Some(census) = self.census.as_mut() {
+            census.record_bits(c, bank, &lut_vals);
+        }
         self.scratch_next = next;
         self.scratch_lut_vals = lut_vals;
         self.scratch_in_bits = in_bits;
-        self.batch_synced[c] = false;
+        self.batch_synced[bank] = false;
         Ok(outs)
     }
 
@@ -1020,33 +1140,34 @@ impl MultiDevice {
                 got: inputs.len(),
             });
         }
-        self.ensure_kernel(c, self.want_optimized(c));
-        if !self.batch_synced[c] {
-            // The context's scalar state moved since its last batched step:
+        self.ensure_kernel(c);
+        let bank = self.register_bank(c);
+        if !self.batch_synced[bank] {
+            // The bank's scalar state moved since its last batched step:
             // every lane resumes from the same registers.
-            kernel::broadcast(&self.states[c], &mut self.batch_regs[c]);
-            self.batch_synced[c] = true;
+            kernel::broadcast(&self.states[bank], &mut self.batch_regs[bank]);
+            self.batch_synced[bank] = true;
         }
         // Register probes report the in-cycle (pre-edge) values — what the
         // outputs and downstream logic saw — so snapshot before the kernel
         // commits the next state in place. One branch when disarmed.
         if let Some(probes) = self.probes[c].as_mut() {
-            probes.snapshot_regs(&self.batch_regs[c]);
+            probes.snapshot_regs(&self.batch_regs[bank]);
         }
-        let kernel = self.kernels[c].as_ref().expect("kernel built above");
+        let (_, kernel) = self.kernels[c].as_ref().expect("kernel built above");
         kernel.step(
             inputs,
-            &mut self.batch_regs[c],
+            &mut self.batch_regs[bank],
             &mut self.batch_scratch,
             out,
         );
         // Lane 0 writes back so the scalar view stays coherent.
-        kernel::extract_lane(&self.batch_regs[c], 0, &mut self.states[c]);
+        kernel::extract_lane(&self.batch_regs[bank], 0, &mut self.states[bank]);
         // Observability taps, each one branch when disarmed: the census
         // reads the LUT words the kernel just computed, probes record
         // inputs / pre-edge registers / LUT outputs into their rings.
         if let Some(census) = self.census.as_mut() {
-            census.record(c, self.batch_scratch.lut_words());
+            census.record_wide(c, bank, self.batch_scratch.lut_words(), 1);
         }
         if let Some(probes) = self.probes[c].as_mut() {
             probes.sample(inputs, self.batch_scratch.lut_words());
@@ -1058,15 +1179,16 @@ impl MultiDevice {
 
     /// Lower `context` to a fresh instruction stream: the mapped netlist
     /// gives sources and emission (= topological) order, the logic blocks
-    /// give each position's active plane and packed truth table.
-    fn build_kernel(&self, context: usize) -> CompiledKernel {
+    /// give each position's active plane and its packed truth table as the
+    /// hardware currently holds it — faults included.
+    pub(crate) fn build_kernel(&self, context: usize) -> CompiledKernel {
         let m = &self.mapped[context];
         CompiledKernel::build(
             m.n_inputs,
             m.dffs.len(),
             m.luts.iter().enumerate().map(|(i, lut)| {
-                let (site, slot) = self.site_of[context][i];
-                let lb = self.lbs[site].as_ref().expect("used site has an LB");
+                let (lb, slot) = self.slot_of[context][i];
+                let lb = &self.lbs[lb];
                 let plane = lb.active_plane(self.ctx, context);
                 (lut.inputs.as_slice(), lb.plane_packed(slot, plane))
             }),
@@ -1175,12 +1297,13 @@ impl MultiDevice {
         }
         let n_chunks = stimulus.len() / chunk_words;
         let observed = self.census.is_some() || self.probes[c].is_some();
-        self.ensure_kernel(c, self.want_optimized(c));
-        let kernel = self.kernels[c].take().expect("kernel built above");
+        self.ensure_kernel(c);
+        let (epoch, kernel) = self.kernels[c].take().expect("kernel built above");
         let n_outputs = kernel.n_outputs();
+        let bank = self.register_bank(c);
         // Every lane starts from the scalar register state.
         let mut regs = Vec::new();
-        kernel::broadcast_wide(&self.states[c], &mut regs, W);
+        kernel::broadcast_wide(&self.states[bank], &mut regs, W);
         // `threads` is an explicit caller knob (bench cells sweep it), so it
         // is honored even past `available_parallelism` — oversubscription
         // just timeslices, and the block-split path stays exercised on small
@@ -1250,7 +1373,7 @@ impl MultiDevice {
                 kernel.step_wide::<W>(stim, &mut regs, &mut scratch, &mut step_out);
                 out[t * n_outputs * W..][..n_outputs * W].copy_from_slice(&step_out);
                 if let Some(census) = self.census.as_mut() {
-                    census.record_wide(c, scratch.lut_words(), W);
+                    census.record_wide(c, bank, scratch.lut_words(), W);
                 }
                 if let Some(probes) = self.probes[c].as_mut() {
                     probes.sample_wide(stim, scratch.lut_words(), W);
@@ -1259,7 +1382,7 @@ impl MultiDevice {
             self.batch_scratch = scratch;
             out
         };
-        self.kernels[c] = Some(kernel);
+        self.kernels[c] = Some((epoch, kernel));
         self.recorder
             .incr("sim.throughput_words", (n_chunks * W) as u64);
         self.recorder
@@ -1267,19 +1390,29 @@ impl MultiDevice {
         Ok(out)
     }
 
-    fn resolve(&self, c: usize, src: MappedSource, inputs: &[bool], lut_vals: &[bool]) -> bool {
+    fn resolve(&self, bank: usize, src: MappedSource, inputs: &[bool], lut_vals: &[bool]) -> bool {
         match src {
             MappedSource::Input(i) => inputs[i],
-            MappedSource::Register(r) => self.states[c][r],
+            MappedSource::Register(r) => self.states[bank][r],
             MappedSource::Lut(l) => lut_vals[l],
             MappedSource::Const(v) => v,
         }
     }
 
-    /// Read a context's register state (temporal execution shuttles the
-    /// shared transfer file through here).
+    /// Read the register file `context` steps on — its own on a
+    /// heterogeneous device, the one shared file on an aligned device
+    /// (temporal execution shuttles the shared transfer file through here).
     pub fn registers(&self, context: usize) -> &[bool] {
-        &self.states[context]
+        &self.states[self.register_bank(context)]
+    }
+
+    /// The register bank `context` reads and writes (see the module docs).
+    pub(crate) fn register_bank(&self, context: usize) -> usize {
+        if self.shared_registers {
+            0
+        } else {
+            context
+        }
     }
 
     /// Number of programmed contexts.
@@ -1303,7 +1436,9 @@ impl MultiDevice {
     /// restores, independent of any stepping done since compile.
     pub fn initial_registers(&self, context: usize) -> Result<Vec<bool>, SimError> {
         self.check_context(context)?;
-        Ok(self.mapped[context].initial_state().bits)
+        Ok(self.mapped[self.register_bank(context)]
+            .initial_state()
+            .bits)
     }
 
     /// Build (and cache) `context`'s compiled batch kernel, returning a
@@ -1313,8 +1448,11 @@ impl MultiDevice {
     /// asks for it and no probes or census are armed.
     pub fn kernel(&mut self, context: usize) -> Result<&CompiledKernel, SimError> {
         self.check_context(context)?;
-        self.ensure_kernel(context, self.want_optimized(context));
-        Ok(self.kernels[context].as_ref().expect("kernel built above"))
+        self.ensure_kernel(context);
+        Ok(&self.kernels[context]
+            .as_ref()
+            .expect("kernel built above")
+            .1)
     }
 
     /// Current kernel lowering knobs.
@@ -1343,20 +1481,21 @@ impl MultiDevice {
         self.kernel_options.optimize && self.census.is_none() && self.probes[context].is_none()
     }
 
-    /// Make the cached kernel for `context` exist in the wanted variant.
-    fn ensure_kernel(&mut self, context: usize, optimized: bool) {
-        let stale = match &self.kernels[context] {
-            Some(k) => k.optimized() != optimized,
-            None => true,
-        };
-        if stale {
-            let _span = self.recorder.span("sim_kernel_build");
-            let mut kernel = self.build_kernel(context);
-            if optimized {
-                kernel = kernel.optimize();
+    /// Make the cached kernel for `context` exist in the wanted variant
+    /// and at the current configuration epoch.
+    fn ensure_kernel(&mut self, context: usize) {
+        let optimized = self.want_optimized(context);
+        if let Some((epoch, k)) = &self.kernels[context] {
+            if *epoch == self.config_epoch && k.optimized() == optimized {
+                return;
             }
-            self.kernels[context] = Some(kernel);
         }
+        let _span = self.recorder.span("sim_kernel_build");
+        let mut kernel = self.build_kernel(context);
+        if optimized {
+            kernel = kernel.optimize();
+        }
+        self.kernels[context] = Some((self.config_epoch, kernel));
     }
 
     fn check_context(&self, context: usize) -> Result<(), SimError> {
@@ -1383,21 +1522,17 @@ impl MultiDevice {
     /// Overwrite a context's register state, reporting a bad context index
     /// or register-count mismatch in-band.
     pub fn try_set_registers(&mut self, context: usize, bits: &[bool]) -> Result<(), SimError> {
-        if context >= self.states.len() {
-            return Err(SimError::ContextNotProgrammed {
-                context,
-                programmed: self.states.len(),
-            });
-        }
-        if bits.len() != self.states[context].len() {
+        self.check_context(context)?;
+        let bank = self.register_bank(context);
+        if bits.len() != self.states[bank].len() {
             return Err(SimError::RegisterCount {
                 context,
-                expected: self.states[context].len(),
+                expected: self.states[bank].len(),
                 got: bits.len(),
             });
         }
-        self.states[context].copy_from_slice(bits);
-        self.batch_synced[context] = false;
+        self.states[bank].copy_from_slice(bits);
+        self.batch_synced[bank] = false;
         Ok(())
     }
 
@@ -1408,11 +1543,12 @@ impl MultiDevice {
     /// exactly as [`MultiDevice::try_step_batch`] would seed them.
     pub fn lane_registers(&self, context: usize) -> Result<Vec<u64>, SimError> {
         self.check_context(context)?;
-        if self.batch_synced[context] {
-            Ok(self.batch_regs[context].clone())
+        let bank = self.register_bank(context);
+        if self.batch_synced[bank] {
+            Ok(self.batch_regs[bank].clone())
         } else {
             let mut words = Vec::new();
-            kernel::broadcast(&self.states[context], &mut words);
+            kernel::broadcast(&self.states[bank], &mut words);
             Ok(words)
         }
     }
@@ -1429,26 +1565,31 @@ impl MultiDevice {
         words: &[u64],
     ) -> Result<(), SimError> {
         self.check_context(context)?;
-        if words.len() != self.states[context].len() {
+        let bank = self.register_bank(context);
+        if words.len() != self.states[bank].len() {
             return Err(SimError::RegisterCount {
                 context,
-                expected: self.states[context].len(),
+                expected: self.states[bank].len(),
                 got: words.len(),
             });
         }
-        self.batch_regs[context].clear();
-        self.batch_regs[context].extend_from_slice(words);
-        self.batch_synced[context] = true;
-        kernel::extract_lane(&self.batch_regs[context], 0, &mut self.states[context]);
+        self.batch_regs[bank].clear();
+        self.batch_regs[bank].extend_from_slice(words);
+        self.batch_synced[bank] = true;
+        kernel::extract_lane(&self.batch_regs[bank], 0, &mut self.states[bank]);
         Ok(())
     }
 
-    /// Reset every context's registers.
+    /// Reset every register bank to its power-on state and clear the
+    /// activity census's counters.
     pub fn reset(&mut self) {
         for (m, s) in self.mapped.iter().zip(&mut self.states) {
             *s = m.initial_state().bits;
         }
-        self.batch_synced.iter_mut().for_each(|b| *b = false);
+        self.batch_synced.fill(false);
+        if self.census.is_some() {
+            self.census = Some(self.new_census());
+        }
     }
 
     /// Per-switch usage across contexts (real mixed columns).
@@ -1474,9 +1615,9 @@ impl MultiDevice {
         self.usage.to_bitstream(&self.graph, &self.arch)
     }
 
-    /// Verify per-context net connectivity from switch state (as
-    /// [`crate::Device::check_routing`], but per context with that
-    /// context's own nets).
+    /// Verify that every context's placed nets are connected through the
+    /// switches that conduct in that context: breadth-first search over
+    /// cells, re-deriving connectivity purely from configuration state.
     pub fn check_routing(&self) -> Result<(), String> {
         use std::collections::{HashSet, VecDeque};
         for (c, (problem, placement)) in self.problems.iter().zip(&self.placements).enumerate() {
@@ -1526,6 +1667,77 @@ impl MultiDevice {
             .iter()
             .map(|r| r.critical_delay())
             .fold(0.0, f64::max)
+    }
+
+    /// Compile-quality report for the experiments.
+    pub fn report(&self) -> CompileReport {
+        // Plane demand per used LUT slot: the distinct tables the device
+        // contexts put there (unprogrammed contexts hold all-zero tables).
+        let n = self.ctx.n_contexts();
+        let mut slots: HashMap<(usize, usize), Vec<u64>> = HashMap::new();
+        for (c, (m, slot_of)) in self.mapped.iter().zip(&self.slot_of).enumerate() {
+            for (lut, &slot) in m.luts.iter().zip(slot_of) {
+                slots.entry(slot).or_insert_with(|| vec![0; n])[c] = lut.table;
+            }
+        }
+        let mut plane_histogram = vec![0usize; n];
+        let mut planes = 0usize;
+        for tables in slots.values_mut() {
+            tables.sort_unstable();
+            tables.dedup();
+            plane_histogram[tables.len() - 1] += 1;
+            planes += tables.len();
+        }
+        CompileReport {
+            granularity: self.mapped[0].k,
+            n_luts: slots.len(),
+            n_lbs: self.lbs.len(),
+            mean_planes: if slots.is_empty() {
+                0.0
+            } else {
+                planes as f64 / slots.len() as f64
+            },
+            plane_histogram,
+            controller_ses: self.lbs.iter().map(|l| l.controller_se_cost()).sum(),
+            switch_stats: ColumnSetStats::measure(&self.usage.columns(), self.ctx),
+            routing_iterations: self.routed.iter().map(|r| r.iterations).max().unwrap_or(0),
+            critical_delay: self.critical_delay(),
+        }
+    }
+
+    /// Number of physical logic blocks in use.
+    pub fn n_lbs(&self) -> usize {
+        self.lbs.len()
+    }
+
+    /// The LUT mode every logic block runs in (`None` without blocks).
+    pub(crate) fn lb_mode(&self) -> Option<LutMode> {
+        self.lbs.first().map(|lb| lb.mode())
+    }
+
+    /// Mutable logic-block access (fault injection). Any access is assumed
+    /// to mutate configuration, so cached compiled kernels invalidate.
+    pub(crate) fn lb_mut(&mut self, lb: usize) -> &mut AdaptiveLogicBlock {
+        self.config_epoch += 1;
+        &mut self.lbs[lb]
+    }
+
+    /// Every `(context, LUT position)` whose compiled-kernel table images
+    /// the given LUT-memory fault: positions mapped onto
+    /// (`fault.lb`, `fault.output`) in contexts whose active plane is
+    /// `fault.plane`.
+    pub(crate) fn fault_kernel_sites(&self, fault: &LutFault) -> Vec<(usize, usize)> {
+        let mut sites = Vec::new();
+        for (c, slots) in self.slot_of.iter().enumerate() {
+            for (i, &(lb, slot)) in slots.iter().enumerate() {
+                if (lb, slot) == (fault.lb, fault.output)
+                    && self.lbs[lb].active_plane(self.ctx, c) == fault.plane
+                {
+                    sites.push((c, i));
+                }
+            }
+        }
+        sites
     }
 
     // ---- fabric observability ------------------------------------------
@@ -1603,29 +1815,33 @@ impl MultiDevice {
         ))
     }
 
-    /// Start per-LUT activity accounting on the batched path (idempotent;
-    /// counters persist until the device is dropped). Also enables
-    /// context-switch energy accounting even without a recorder.
+    /// Start per-LUT activity accounting on the scalar and batched paths
+    /// (idempotent; counters persist until [`MultiDevice::reset`]). Also
+    /// enables context-switch energy accounting even without a recorder.
     pub fn enable_activity_census(&mut self) {
         if self.census.is_none() {
-            self.census = Some(ActivityCensus::new(self.mapped.len()));
+            self.census = Some(self.new_census());
         }
+    }
+
+    fn new_census(&self) -> ActivityCensus {
+        ActivityCensus::new(self.mapped.len(), self.states.len())
     }
 
     /// Activity census of `context`: per-LUT toggles, static probability,
     /// and the `toggle_rate × fanout` power proxy. All-zero (and NaN-free)
-    /// when the census is disabled or the context never stepped batched.
+    /// when the census is disabled or the context never stepped.
     pub fn activity_census(&self, context: usize) -> Result<ActivityReport, SimError> {
         self.check_context(context)?;
         let m = &self.mapped[context];
         Ok(match &self.census {
             Some(census) => census.report(context, m),
-            None => ActivityCensus::new(self.mapped.len()).report(context, m),
+            None => self.new_census().report(context, m),
         })
     }
 
-    /// Mean per-LUT toggle rate of `context` on the batched path; 0.0
-    /// (never NaN) for zero-cycle, zero-LUT, or census-disabled devices.
+    /// Mean per-LUT toggle rate of `context`; 0.0 (never NaN) for
+    /// zero-cycle, zero-LUT, or census-disabled devices.
     pub fn toggle_rate(&self, context: usize) -> f64 {
         match &self.census {
             Some(census) if context < self.mapped.len() => census.toggle_rate(context),
@@ -1762,7 +1978,7 @@ mod tests {
         assert_eq!(serial.placements, parallel.placements);
         assert_eq!(serial.routed, parallel.routed);
         assert_eq!(serial.usage, parallel.usage);
-        assert_eq!(serial.site_of, parallel.site_of);
+        assert_eq!(serial.slot_of, parallel.slot_of);
         assert_eq!(serial.states, parallel.states);
         assert_eq!(serial.switch_bitstream(), parallel.switch_bitstream());
     }
@@ -2202,6 +2418,71 @@ mod tests {
             assert!(!map.hottest(4).is_empty());
         }
     }
+
+    #[test]
+    fn compile_mapped_rejects_a_foreign_granularity() {
+        let arch = arch();
+        let k = arch.lut.min_inputs;
+        let good = map_netlist(&library::parity(8), k).unwrap();
+        let wrong = map_netlist(&library::adder(4), k + 1).unwrap();
+        let result = MultiDevice::compile_mapped(&arch, &[good, wrong]);
+        let err = result.err().expect("k + 1 is not the fabric's k");
+        assert!(
+            matches!(
+                err,
+                CompileError::MappedGranularity { context: 1, expected, got }
+                    if expected == k && got == k + 1
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn compile_delta_rejects_a_seed_count_mismatch() {
+        let circuits = vec![library::adder(4), library::parity(8)];
+        let result = MultiDevice::compile_delta(
+            &arch(),
+            &circuits,
+            &CompileOptions::default(),
+            &Recorder::disabled(),
+            &[DeltaSeed::Cold],
+            None,
+        );
+        let err = result.err().expect("one seed for two circuits");
+        assert!(
+            matches!(
+                err,
+                CompileError::DeltaSeedCount {
+                    seeds: 1,
+                    circuits: 2
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn register_banks_follow_the_compile_flow() {
+        // Aligned contexts share one register file: a count made in
+        // context 0 is visible from context 3, and writing through one
+        // context writes them all.
+        let counter = library::counter(4);
+        let mut aligned =
+            MultiDevice::compile_aligned(&arch(), std::slice::from_ref(&counter)).unwrap();
+        aligned.step(&[true]);
+        aligned.switch_context(3);
+        assert_eq!(bits_to_u64(&aligned.step(&[false])), 1);
+        aligned.set_registers(2, &[true, true, false, false]);
+        assert_eq!(aligned.registers(0), &[true, true, false, false]);
+        aligned.reset();
+        assert_eq!(aligned.lane_registers(1).unwrap(), vec![0; 4]);
+        // Heterogeneous contexts own one each.
+        let mut hetero = MultiDevice::compile(&arch(), &[counter.clone(), counter]).unwrap();
+        hetero.step(&[true]);
+        hetero.switch_context(1);
+        assert_eq!(bits_to_u64(&hetero.step(&[false])), 0);
+        assert_eq!(bits_to_u64(hetero.registers(0)), 1);
+    }
 }
 
 #[cfg(test)]
@@ -2250,7 +2531,7 @@ mod prop_tests {
                     prop_assert_eq!(&s.placements, &p.placements);
                     prop_assert_eq!(&s.routed, &p.routed);
                     prop_assert_eq!(&s.usage, &p.usage);
-                    prop_assert_eq!(&s.site_of, &p.site_of);
+                    prop_assert_eq!(&s.slot_of, &p.slot_of);
                     prop_assert_eq!(&s.states, &p.states);
                     prop_assert_eq!(s.switch_bitstream(), p.switch_bitstream());
                 }

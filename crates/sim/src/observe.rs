@@ -308,55 +308,75 @@ pub fn captures_to_waveform(
     w
 }
 
-/// Per-LUT toggle/level accounting for one device, updated on the batched
-/// path only (each step adds [`LANES`] lane-cycles to the active context).
+/// Per-LUT toggle/level accounting for one device, updated on every step:
+/// a scalar step adds one lane-cycle to the active context, a batched step
+/// [`LANES`] per chunk word.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ActivityCensus {
     /// `[context][lut]` — lane-summed output toggles, counted against the
-    /// context's previous batched word (starting from all-zero, matching
-    /// [`crate::Device`]'s toggle accounting).
+    /// previous step's values in the same register bank (starting from
+    /// all-zero), so an aligned device counts toggles across context
+    /// switches.
     toggles: Vec<Vec<u64>>,
     /// `[context][lut]` — lane-cycles the output was high.
     ones: Vec<Vec<u64>>,
+    /// `[bank]` — the previous step's LUT words.
     prev: Vec<Vec<u64>>,
     lane_cycles: Vec<u64>,
 }
 
 impl ActivityCensus {
-    pub(crate) fn new(n_contexts: usize) -> ActivityCensus {
+    pub(crate) fn new(n_contexts: usize, n_banks: usize) -> ActivityCensus {
         ActivityCensus {
             toggles: vec![Vec::new(); n_contexts],
             ones: vec![Vec::new(); n_contexts],
-            prev: vec![Vec::new(); n_contexts],
+            prev: vec![Vec::new(); n_banks],
             lane_cycles: vec![0; n_contexts],
         }
     }
 
-    pub(crate) fn record(&mut self, c: usize, lut_words: &[u64]) {
-        self.record_wide(c, lut_words, 1);
+    /// Record one scalar step of context `c` on register bank `bank`: only
+    /// lane 0 of the baseline is compared, and every lane of the new
+    /// baseline takes the scalar values, so a following batched step counts
+    /// against them.
+    pub(crate) fn record_bits(&mut self, c: usize, bank: usize, lut_vals: &[bool]) {
+        let prev = &mut self.prev[bank];
+        if prev.len() != lut_vals.len() {
+            prev.clear();
+            prev.resize(lut_vals.len(), 0);
+        }
+        self.toggles[c].resize(lut_vals.len(), 0);
+        self.ones[c].resize(lut_vals.len(), 0);
+        for (i, &v) in lut_vals.iter().enumerate() {
+            self.toggles[c][i] += ((prev[i] & 1 == 1) != v) as u64;
+            self.ones[c][i] += v as u64;
+            prev[i] = if v { !0 } else { 0 };
+        }
+        self.lane_cycles[c] += 1;
     }
 
-    /// As [`ActivityCensus::record`] at chunk width `w`: `lut_words` holds
-    /// `w` words per LUT (LUT-major), every one of the `64 * w` lanes counts
-    /// toward toggles/ones, and the step adds `64 * w` lane-cycles. The
-    /// previous-word baseline is per (LUT, chunk word); if the observed
-    /// width changes between steps the baseline restarts at all-zero,
-    /// matching the first-step convention.
-    pub(crate) fn record_wide(&mut self, c: usize, lut_words: &[u64], w: usize) {
+    /// Record one batched step of context `c` on register bank `bank` at
+    /// chunk width `w`: `lut_words` holds `w` words per LUT (LUT-major),
+    /// every one of the `64 * w` lanes counts toward toggles/ones, and the
+    /// step adds `64 * w` lane-cycles. The previous-word baseline is per
+    /// (LUT, chunk word); if the observed width changes between steps the
+    /// baseline restarts at all-zero, matching the first-step convention.
+    pub(crate) fn record_wide(&mut self, c: usize, bank: usize, lut_words: &[u64], w: usize) {
         let total = lut_words.len();
         let n = total / w;
-        if self.prev[c].len() != total {
-            self.prev[c].clear();
-            self.prev[c].resize(total, 0);
+        let prev = &mut self.prev[bank];
+        if prev.len() != total {
+            prev.clear();
+            prev.resize(total, 0);
         }
         self.toggles[c].resize(n, 0);
         self.ones[c].resize(n, 0);
         for i in 0..n {
             for k in 0..w {
                 let word = lut_words[i * w + k];
-                self.toggles[c][i] += (self.prev[c][i * w + k] ^ word).count_ones() as u64;
+                self.toggles[c][i] += (prev[i * w + k] ^ word).count_ones() as u64;
                 self.ones[c][i] += word.count_ones() as u64;
-                self.prev[c][i * w + k] = word;
+                prev[i * w + k] = word;
             }
         }
         self.lane_cycles[c] += (LANES * w) as u64;
@@ -565,7 +585,7 @@ mod tests {
     #[test]
     fn census_rates_are_guarded_against_zero_cycles() {
         let m = map_netlist(&library::adder(2), 6).unwrap();
-        let census = ActivityCensus::new(1);
+        let census = ActivityCensus::new(1, 1);
         let report = census.report(0, &m);
         assert_eq!(report.lane_cycles, 0);
         assert!(report.luts.iter().all(|l| l.toggle_rate == 0.0));
@@ -575,9 +595,9 @@ mod tests {
 
     #[test]
     fn census_counts_toggles_and_ones_per_lut() {
-        let mut census = ActivityCensus::new(1);
-        census.record(0, &[u64::MAX, 0]);
-        census.record(0, &[0, 0]);
+        let mut census = ActivityCensus::new(1, 1);
+        census.record_wide(0, 0, &[u64::MAX, 0], 1);
+        census.record_wide(0, 0, &[0, 0], 1);
         // LUT 0: 64 rising then 64 falling toggles, 64 high lane-cycles.
         assert_eq!(census.toggles[0][0], 128);
         assert_eq!(census.ones[0][0], 64);

@@ -35,18 +35,18 @@
 //! unoptimized serving artifacts hash to different design fingerprints.
 //!
 //! The pass is on by default ([`KernelOptions::optimize`] = `true`), so
-//! `MultiDevice`, `Flow` and serve compiles all run optimized kernels.
-//! The unoptimized kernel still runs wherever LUT positions matter:
-//! `MultiDevice` falls back to it while probes are armed or the activity
-//! census is enabled, the fault campaign lowers fresh unoptimized kernels,
-//! and `Device` keeps it because it counts per-LUT toggles on every batched
-//! step. Callers that want it elsewhere pass `with_optimize(false)`.
+//! aligned and heterogeneous devices, `Flow` and serve compiles all run
+//! optimized kernels. The unoptimized kernel still runs wherever LUT
+//! positions matter: the device falls back to it while probes are armed or
+//! the activity census is enabled, and the fault campaign lowers fresh
+//! unoptimized kernels. Callers that want it elsewhere pass
+//! `with_optimize(false)`.
 
 use crate::kernel::{CompiledKernel, KernelInstr, Op, Operand};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Kernel lowering knobs, threaded through `Device` / `MultiDevice` /
+/// Kernel lowering knobs, threaded through `MultiDevice` /
 /// `Flow` / serve compile options. Serializable so session snapshots can
 /// carry the full compile request across servers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

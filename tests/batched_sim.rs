@@ -16,8 +16,8 @@ proptest! {
 
     /// Aligned-workload device: a batched run over random context switches
     /// (word boundaries, all lanes together) equals 64 scalar replays, lane
-    /// by lane, outputs and toggle accounting both — with and without an
-    /// injected LUT fault.
+    /// by lane, outputs and activity-census toggles both — with and without
+    /// an injected LUT fault.
     #[test]
     fn device_batched_matches_scalar_on_all_lanes(
         seed in 0u64..10_000,
@@ -36,10 +36,19 @@ proptest! {
             0.2,
             seed,
         );
-        let mut dev = Device::compile(&arch, &w).unwrap();
+        let mut dev = MultiDevice::compile_aligned(&arch, &w).unwrap();
+        dev.enable_activity_census();
         if inject {
             dev.inject_lut_fault(LutFault { lb: 0, output: 0, plane: 0, assignment: 1 });
         }
+        // Census totals over every context: the aligned contexts share one
+        // register bank, so toggles count across context switches.
+        let census = |dev: &MultiDevice| -> (u64, u64) {
+            (0..dev.n_contexts()).fold((0, 0), |(t, l), c| {
+                let r = dev.activity_census(c).unwrap();
+                (t + r.toggles_total, l + r.lane_cycles)
+            })
+        };
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD1CE);
         let words = 6usize;
         let schedule: Vec<(usize, Vec<u64>)> = (0..words)
@@ -57,8 +66,8 @@ proptest! {
             dev.switch_context(*c);
             batch_out.push(dev.step_batch(inputs));
         }
-        let batch_toggles = dev.toggles();
-        prop_assert_eq!(dev.cycles(), (words * LANES) as u64);
+        let (batch_toggles, lane_cycles) = census(&dev);
+        prop_assert_eq!(lane_cycles, (words * LANES) as u64);
         // Scalar replay, lane by lane, on the same (possibly faulty) device.
         let mut toggle_sum = 0u64;
         for lane in 0..LANES {
@@ -78,7 +87,7 @@ proptest! {
                     );
                 }
             }
-            toggle_sum += dev.toggles();
+            toggle_sum += census(&dev).0;
         }
         // The batched popcount accounting equals the sum of its lanes'
         // scalar toggle counts.
@@ -175,7 +184,7 @@ proptest! {
             0.2,
             seed,
         );
-        let mut dev = Device::compile(&arch, &w).unwrap();
+        let mut dev = MultiDevice::compile_aligned(&arch, &w).unwrap();
         dev.set_kernel_options(KernelOptions::new().with_optimize(true));
         if inject {
             dev.inject_lut_fault(LutFault { lb: 0, output: 0, plane: 0, assignment: 1 });
@@ -317,7 +326,8 @@ proptest! {
 fn kernel_cache_invalidates_after_fault_injection() {
     let arch = ArchSpec::paper_default();
     let circuits = vec![library::parity(8); 4];
-    let mut dev = Device::compile(&arch, &circuits).unwrap();
+    let mut dev = MultiDevice::compile_aligned(&arch, &circuits).unwrap();
+    dev.set_kernel_options(KernelOptions::new().with_optimize(false));
     let mut rng = StdRng::seed_from_u64(42);
     let words: Vec<Vec<u64>> = (0..20)
         .map(|_| (0..8).map(|_| rng.next_u64()).collect())
@@ -360,7 +370,7 @@ fn kernel_cache_invalidates_after_fault_injection() {
 fn optimized_kernel_cache_invalidates_after_fault_injection() {
     let arch = ArchSpec::paper_default();
     let circuits = vec![library::parity(8); 4];
-    let mut dev = Device::compile(&arch, &circuits).unwrap();
+    let mut dev = MultiDevice::compile_aligned(&arch, &circuits).unwrap();
     dev.set_kernel_options(KernelOptions::new().with_optimize(true));
     let mut rng = StdRng::seed_from_u64(42);
     let words: Vec<Vec<u64>> = (0..20)
@@ -381,7 +391,8 @@ fn optimized_kernel_cache_invalidates_after_fault_injection() {
     );
     // The faulty optimized batch agrees with the unoptimized faulty batch:
     // the optimizer folds the *post-fault* tables.
-    let mut plain = Device::compile(&arch, &circuits).unwrap();
+    let mut plain = MultiDevice::compile_aligned(&arch, &circuits).unwrap();
+    plain.set_kernel_options(KernelOptions::new().with_optimize(false));
     plain.inject_lut_fault(fault);
     let plain_faulty: Vec<Vec<u64>> = words.iter().map(|w| plain.step_batch(w)).collect();
     assert_eq!(faulty, plain_faulty);
